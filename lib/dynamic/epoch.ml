@@ -402,81 +402,54 @@ let tombstoned (deleted : int array) x =
     !found
   end
 
-let mem t r x =
-  let s = pin r t in
+(* The probe body shared by [mem] and [mem_phased]: answer [x] against
+   the snapshot [s] the reader has pinned. Error paths (invalid key,
+   poisoned level) unpin before raising: they abort the run. *)
+let probe_pinned r s x =
   if x < 0 || x >= s.snap_universe then begin
     unpin r;
     invalid_arg "Epoch.mem: key outside universe"
   end;
-  let answer =
-    if tombstoned s.deleted x then false
-    else begin
-      (* Largest level first, like Dynamic.mem; stop at the first hit. *)
-      let hit = ref false in
-      let nl = Array.length s.levels in
-      let i = ref 0 in
-      while (not !hit) && !i < nl do
-        let l = s.levels.(!i) in
-        (* Poison check: under a correct reclamation protocol this is
-           unreachable; the concurrent property test exists to prove it
-           stays that way. *)
-        if Atomic.get l.freed then begin
-          unpin r;
-          raise (Freed_level { epoch = s.epoch; level = l.el_index })
-        end;
-        let rep = Rng.int r.r_rng (Array.length l.cores) in
-        r.cur_counters <- l.counters.(rep);
-        r.cur_table <- l.tables.(rep);
-        r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
-        let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
-        if D.mem ~probe:r.probe r.r_rng x then hit := true;
-        incr i
-      done;
-      !hit
-    end
-  in
+  if tombstoned s.deleted x then false
+  else begin
+    (* Largest level first, like Dynamic.mem; stop at the first hit. *)
+    let hit = ref false in
+    let nl = Array.length s.levels in
+    let i = ref 0 in
+    while (not !hit) && !i < nl do
+      let l = s.levels.(!i) in
+      (* Poison check: under a correct reclamation protocol this is
+         unreachable; the concurrent property test exists to prove it
+         stays that way. *)
+      if Atomic.get l.freed then begin
+        unpin r;
+        raise (Freed_level { epoch = s.epoch; level = l.el_index })
+      end;
+      let rep = Rng.int r.r_rng (Array.length l.cores) in
+      r.cur_counters <- l.counters.(rep);
+      r.cur_table <- l.tables.(rep);
+      r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
+      let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
+      if D.mem ~probe:r.probe r.r_rng x then hit := true;
+      incr i
+    done;
+    !hit
+  end
+
+let mem t r x =
+  let answer = probe_pinned r (pin r t) x in
   unpin r;
   answer
 
-(* Phase-accounted variant of [mem] for monitored readers: the same
-   probe protocol, plus monotonic timing of the pin and unpin
-   announcement windows accumulated into the reader-owned [r_pin_ns]
-   scratch. The probe loop is duplicated from [mem] deliberately — the
-   untimed path must stay byte-identical for obs-off runs, and sharing
-   an inner function would put an extra call (and clock plumbing) in
-   it. Keep the two loops in sync. Error paths (invalid key, poisoned
-   level) unpin without charging the pin phase: they abort the run. *)
+(* Phase-accounted variant of [mem] for instrumented readers: the same
+   probe, plus monotonic timing of the pin and unpin announcement
+   windows accumulated into the reader-owned [r_pin_ns] scratch. An
+   aborted probe is not charged to the pin phase. *)
 let mem_phased t r x =
   let p0 = Monotonic_clock.now () in
   let s = pin r t in
   let p1 = Monotonic_clock.now () in
-  if x < 0 || x >= s.snap_universe then begin
-    unpin r;
-    invalid_arg "Epoch.mem: key outside universe"
-  end;
-  let answer =
-    if tombstoned s.deleted x then false
-    else begin
-      let hit = ref false in
-      let nl = Array.length s.levels in
-      let i = ref 0 in
-      while (not !hit) && !i < nl do
-        let l = s.levels.(!i) in
-        if Atomic.get l.freed then begin
-          unpin r;
-          raise (Freed_level { epoch = s.epoch; level = l.el_index })
-        end;
-        let rep = Rng.int r.r_rng (Array.length l.cores) in
-        r.cur_counters <- l.counters.(rep);
-        r.cur_table <- l.tables.(rep);
-        r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
-        let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
-        if D.mem ~probe:r.probe r.r_rng x then hit := true;
-        incr i
-      done;
-      !hit
-    end
-  in
+  let answer = probe_pinned r s x in
   let u0 = Monotonic_clock.now () in
   unpin r;
   let u1 = Monotonic_clock.now () in

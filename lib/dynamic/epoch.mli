@@ -190,9 +190,10 @@ val mem_phased : t -> reader -> int -> bool
     announcement windows with the monotonic clock and accumulates the
     nanoseconds into a reader-owned counter ({!reader_pin_ns}). Answers
     and probe accounting are identical to {!mem}; the only extra cost is
-    four clock reads per query. The engine's monitored dynamic path uses
-    this so epoch-protocol overhead shows up as its own phase instead of
-    being folded into probe work. *)
+    four clock reads per query. Both run one shared probe body. The
+    engine's instrumented (obs or monitored) dynamic path uses this so
+    epoch-protocol overhead shows up as its own phase instead of being
+    folded into probe work. *)
 
 val reader_pin_ns : reader -> int
 (** Cumulative nanoseconds {!mem_phased} spent announcing (pin) and

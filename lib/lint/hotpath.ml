@@ -26,11 +26,11 @@
      documented suppression). LC008 closes this manifest over the call
      graph, so helpers no longer need to be listed by hand — only the
      roots do. Factory functions that *build* hot closures
-     (Engine.make_probe, make_obs_probe) are deliberately absent:
-     closure construction there is per-run setup, and the closures'
-     per-probe callees (Metrics.incr, Heavy.observe, Window.publish,
-     Journal.record, Table.peek) are the manifest entries that audit
-     the actual loop.
+     (Engine.make_probe, one closure per cost model for every telemetry
+     tier) are deliberately absent: closure construction there is
+     per-run setup, and the closures' per-probe callees (Metrics.observe,
+     Heavy.observe, Window.publish, Journal.record, Table.peek) are the
+     manifest entries that audit the actual loop.
    - [published_types] (LC007): record types whose values are published
      across domains by the epoch/seqlock protocols. A plain field read
      of such a record must be dominated by a pin ([pin_functions]) —
@@ -74,11 +74,13 @@ let default_manifest =
        allocate. mem_phased is the instrumented variant of mem that
        also attributes pin time — it runs per query whenever phase
        accounting is on, so it belongs in the audit even though its
-       clock reads carry a documented boxed-Int64 suppression. *)
+       clock reads carry a documented boxed-Int64 suppression.
+       probe_pinned is the probe body both of them run per query, so it
+       is audited directly, like them. *)
     ( "lib/dynamic/epoch.ml",
       [
         "pin"; "unpin"; "tombstoned"; "mem"; "acquire"; "release"; "reader_lag";
-        "reader_staleness"; "mem_phased";
+        "reader_staleness"; "mem_phased"; "probe_pinned";
       ] );
     (* Phase accounting flush and the per-window GC sample: each runs
        once per worker batch end / window publish on a worker domain —

@@ -9,6 +9,7 @@ module Heavy = Lc_obs.Heavy
 module Http = Lc_obs.Http
 module Journal = Lc_obs.Journal
 module Epoch = Lc_dynamic.Epoch
+module Dynamic = Lc_dynamic.Dynamic
 module Opstream = Lc_workload.Opstream
 module Coheat = Lc_analysis.Coheat
 
@@ -35,104 +36,11 @@ let make_locks ~cost ~space =
     if hold < 0 then invalid_arg "Engine: Spinlock hold must be >= 0";
     Array.init space (fun _ -> Atomic.make false)
 
-(* The probing discipline shared by every worker: count each visit on a
-   per-cell atomic, optionally serialising visits to the same cell
-   through a per-cell test-and-set spinlock. Cell contents are only ever
-   read ([Table.peek]); the table's own mutable counters are untouched,
-   which is what makes the query path reentrant. This is the
-   telemetry-free discipline — the exact PR 1 hot path, used whenever
-   [serve] is called without [?obs]. *)
-let make_probe ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
-  match cost with
-  | Free ->
-    fun ~step:_ j ->
-      Atomic.incr counters.(j);
-      Table.peek table j
-  | Spinlock { hold } ->
-    fun ~step:_ j ->
-      let l = locks.(j) in
-      while not (Atomic.compare_and_set l false true) do
-        Domain.cpu_relax ()
-      done;
-      let v = Table.peek table j in
-      for _ = 1 to hold do
-        Domain.cpu_relax ()
-      done;
-      Atomic.set l false;
-      Atomic.incr counters.(j);
-      v
-
-(* Per-domain telemetry wired into one worker's probe closure. All
-   metric updates land in the worker's own shard (plain stores, no
-   atomics, no allocation), so the telemetry itself cannot become the
-   contended line it is trying to measure. *)
-type worker_obs = {
-  shard : Metrics.shard;
-  timeline : Span.timeline;
-  queries_c : Metrics.counter;
-  probes_c : Metrics.counter;
-  latency_h : Metrics.histogram;
-  probe_latency_h : Metrics.histogram;
-  spin_wait_h : Metrics.histogram;
-}
-
 (* Sampled per-probe latency: timing every probe with two gettimeofday
    calls would dominate a ~nanosecond table read, so measure 1 probe in
    [probe_sample_mask + 1]. *)
 let probe_sample_mask = 63
 let probe_sample_period = probe_sample_mask + 1
-
-(* [sketch], when supplied (monitored runs), receives every probed cell
-   index — the worker-private Space-Saving sketch behind the live
-   hot-cell view. *)
-let make_obs_probe ?sketch ~cost ~counters ~locks table (w : worker_obs) :
-    Lc_dict.Dict_intf.probe =
-  let record_cell =
-    match sketch with None -> fun _ -> () | Some s -> fun j -> Heavy.observe s j
-  in
-  let probe_tick = ref 0 in
-  let sampled_peek j =
-    let tick = !probe_tick in
-    probe_tick := tick + 1;
-    if tick land probe_sample_mask = 0 then begin
-      let t0 = Lc_obs.Clock.now_ns () in
-      let v = Table.peek table j in
-      Metrics.observe w.shard w.probe_latency_h
-        (Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0));
-      v
-    end
-    else Table.peek table j
-  in
-  match cost with
-  | Free ->
-    fun ~step:_ j ->
-      Metrics.incr w.shard w.probes_c 1;
-      record_cell j;
-      Atomic.incr counters.(j);
-      sampled_peek j
-  | Spinlock { hold } ->
-    fun ~step:_ j ->
-      Metrics.incr w.shard w.probes_c 1;
-      record_cell j;
-      let l = locks.(j) in
-      (* Fast path: uncontended acquisition records zero wait without
-         touching the clock. *)
-      if Atomic.compare_and_set l false true then Metrics.observe w.shard w.spin_wait_h 0
-      else begin
-        let t0 = Lc_obs.Clock.now_ns () in
-        while not (Atomic.compare_and_set l false true) do
-          Domain.cpu_relax ()
-        done;
-        Metrics.observe w.shard w.spin_wait_h
-          (Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0))
-      end;
-      let v = sampled_peek j in
-      for _ = 1 to hold do
-        Domain.cpu_relax ()
-      done;
-      Atomic.set l false;
-      Atomic.incr counters.(j);
-      v
 
 (* ------------------------------------------------------------------ *)
 (* Phase accounting                                                     *)
@@ -149,10 +57,10 @@ let make_obs_probe ?sketch ~cost ~counters ~locks table (w : worker_obs) :
    filled in by the orchestrator after the join: serve wall time minus
    the worker's own batch wall (spawn/join skew and scheduler time).
 
-   The record is plain (no atomics): each worker owns exactly one
-   element of the run's array, written only by that domain and read by
-   the orchestrator strictly after the join — same single-writer
-   discipline as the metric shards. *)
+   The record is plain (no atomics): each worker builds its own at batch
+   end and hands it over through [Domain.join]; the orchestrator only
+   copies it, with [idle] filled in — same single-writer discipline as
+   the metric shards. *)
 type phase_stats = {
   ph_domain : int;
   mutable ph_probe_ns : int;
@@ -164,18 +72,6 @@ type phase_stats = {
   mutable ph_idle_ns : int;
 }
 
-let fresh_phases domains =
-  Array.init domains (fun w ->
-      {
-        ph_domain = w;
-        ph_probe_ns = 0;
-        ph_tally_ns = 0;
-        ph_publish_ns = 0;
-        ph_pin_ns = 0;
-        ph_other_ns = 0;
-        ph_wall_ns = 0;
-        ph_idle_ns = 0;
-      })
 
 type phase_metric_ids = {
   p_probe_c : Metrics.counter;
@@ -224,17 +120,6 @@ let flush_phases shard (p : phase_metric_ids) (ph : phase_stats) =
   Metrics.incr shard p.p_other_c ph.ph_other_ns;
   Metrics.incr shard p.p_wall_c ph.ph_wall_ns
 
-(* Close a worker's phase record at batch end: [wall] is the enclosing
-   monotonic window, [pin] (dynamic readers) was accumulated inside the
-   probe windows by [Epoch.mem_phased] and is carved out of probe here,
-   and [other] is the exact residual. *)
-let close_phases (ph : phase_stats) ~wall_ns ~pin_ns =
-  ph.ph_pin_ns <- pin_ns;
-  ph.ph_probe_ns <- ph.ph_probe_ns - pin_ns;
-  ph.ph_wall_ns <- wall_ns;
-  ph.ph_other_ns <-
-    wall_ns - ph.ph_probe_ns - ph.ph_tally_ns - ph.ph_publish_ns - ph.ph_pin_ns
-
 (* ------------------------------------------------------------------ *)
 (* GC telemetry                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -250,9 +135,6 @@ type gc_cursor = {
   mutable gcur_promoted : float;
   mutable gcur_major : float;
 }
-
-let fresh_gc_cursors n =
-  Array.init n (fun _ -> { gcur_minor = 0.0; gcur_promoted = 0.0; gcur_major = 0.0 })
 
 type gc_metric_ids = {
   g_minor_c : Metrics.counter;
@@ -283,13 +165,11 @@ let register_gc_metrics (o : Lc_obs.Obs.t) =
         n.Window.major_words_counter;
   }
 
-(* Set the cursor without flushing: the baseline at batch start, so the
-   deltas cover only this worker's batch. *)
-let gc_baseline (cur : gc_cursor) =
+(* A cursor at the calling domain's counters now, taken on that domain
+   at batch start, so the deltas cover only its own batch. *)
+let gc_cursor () =
   let minor, promoted, major = Gc.counters () in
-  cur.gcur_minor <- minor;
-  cur.gcur_promoted <- promoted;
-  cur.gcur_major <- major
+  { gcur_minor = minor; gcur_promoted = promoted; gcur_major = major }
 
 let sample_gc shard (g : gc_metric_ids) (cur : gc_cursor) =
   let minor, promoted, major = Gc.counters () in
@@ -404,19 +284,8 @@ let register_update_metrics (o : Lc_obs.Obs.t) =
    /cells.json route (exact mid-run, from the per-cell atomics). *)
 let histogram_of_counts counts =
   let max_count = Array.fold_left max 0 counts in
-  let bucket_of c =
-    (* 0 -> bucket 0; otherwise 1 + floor(log2 c). *)
-    if c = 0 then 0
-    else begin
-      let b = ref 0 in
-      let v = ref c in
-      while !v > 0 do
-        incr b;
-        v := !v lsr 1
-      done;
-      !b
-    end
-  in
+  (* 0 -> bucket 0; otherwise 1 + floor(log2 c). *)
+  let rec bucket_of c = if c = 0 then 0 else 1 + bucket_of (c lsr 1) in
   let nbuckets = bucket_of max_count + 1 in
   let cells = Array.make nbuckets 0 in
   Array.iter (fun c -> cells.(bucket_of c) <- cells.(bucket_of c) + 1) counts;
@@ -431,9 +300,7 @@ module Monitor = struct
   type t = {
     obs : Lc_obs.Obs.t;
     window : Window.t;
-    sketches : Heavy.t array;
-    orch_sketch : Heavy.t;
-    builder_sketch : Heavy.t;
+    sketches : Heavy.t array;  (* one per publisher, same layout *)
     domains : int;
     interval_s : float;
     publish_period : int;
@@ -496,9 +363,7 @@ module Monitor = struct
       window =
         Window.create ~updates:update_metric_names ~gc:gc_metric_names obs.metrics config
           ~publishers:(domains + 2);
-      sketches = Array.init domains (fun _ -> Heavy.create ~k:top_k);
-      orch_sketch = Heavy.create ~k:top_k;
-      builder_sketch = Heavy.create ~k:top_k;
+      sketches = Array.init (domains + 2) (fun _ -> Heavy.create ~k:top_k);
       domains;
       interval_s;
       publish_period;
@@ -949,9 +814,235 @@ module Monitor = struct
     ]
 end
 
+
 (* ------------------------------------------------------------------ *)
-(* Serving                                                              *)
+(* Telemetry tiers                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* How much a run records, mapped once from the config: nothing, obs
+   shards and spans, or obs plus the live monitor's windows, sketches and
+   journal. *)
+type tier = Bare | Obs of Lc_obs.Obs.t | Monitored of Monitor.t
+
+module Config = struct
+  type nonrec t = {
+    domains : int;
+    seed : int;
+    cost : cost;
+    obs : Lc_obs.Obs.t option;
+    monitor : Monitor.t option;
+  }
+
+  (* A monitor carries its own observability handle, so it wins when
+     both are given; any other [obs] would be silently dropped, so that
+     combination is rejected. *)
+  let tier t =
+    match (t.obs, t.monitor) with
+    | None, None -> Bare
+    | Some o, None -> Obs o
+    | Some o, Some m when o != m.Monitor.obs ->
+      invalid_arg "Engine.Config: obs must be Monitor.obs monitor when both are given"
+    | _, Some m -> Monitored m
+
+  let make ?(cost = Free) ?obs ?monitor ~domains ~seed () =
+    let t = { domains; seed; cost; obs; monitor } in
+    ignore (tier t : tier);
+    t
+end
+
+(* The telemetry of one domain of an instrumented run, at index [slot]
+   of the run's layout (see [serve]): its shard, span timeline and
+   seqlock publisher. All metric updates land in the domain's own shard
+   (plain stores, no atomics, no allocation), so the telemetry itself
+   cannot become the contended line it is trying to measure. [sketch]
+   (monitored runs) is the domain's Space-Saving sketch; a worker's
+   receives every cell index it probes, behind the live hot-cell view. *)
+type domain_obs = {
+  slot : int;
+  shard : Metrics.shard;
+  timeline : Span.timeline;
+  ids : metric_ids;
+  pids : phase_metric_ids;
+  gids : gc_metric_ids;
+  sketch : Heavy.t option;
+  monitor : Monitor.t option;
+}
+
+(* Publish a domain's shard and sketch through its seqlock slot, on
+   monitored runs. *)
+let publish_slot d =
+  match (d.monitor, d.sketch) with
+  | Some m, Some s -> Window.publish (Window.publisher m.Monitor.window d.slot) d.shard s
+  | _ -> ()
+
+let ns_since t0 = Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0)
+
+let spin_acquire l =
+  while not (Atomic.compare_and_set l false true) do
+    Domain.cpu_relax ()
+  done
+
+(* The instrumented read of one probed cell: count it into the worker's
+   probe tally (which doubles as the latency-sampling tick), feed the
+   sketch, and time 1 read in [probe_sample_period]. *)
+let observed_peek (wo, probes) table j =
+  let tick = !probes in
+  probes := tick + 1;
+  (match wo.sketch with None -> () | Some s -> Heavy.observe s j);
+  if tick land probe_sample_mask = 0 then begin
+    let t0 = Lc_obs.Clock.now_ns () in
+    let v = Table.peek table j in
+    Metrics.observe wo.shard wo.ids.m_probe_latency (ns_since t0);
+    v
+  end
+  else Table.peek table j
+
+(* The probing discipline shared by every worker, one closure per cost
+   model: count each visit on a per-cell atomic, optionally serialising
+   visits to the same cell through a per-cell test-and-set spinlock.
+   Cell contents are only ever read ([Table.peek]); the table's own
+   mutable counters are untouched, which is what makes the query path
+   reentrant. Without [obs] this is the telemetry-free hot path; with it
+   (the worker's telemetry and its probe count) every read goes through
+   [observed_peek] and contended spinlock waits are timed. *)
+let make_probe ?obs ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
+  match cost with
+  | Free ->
+    fun ~step:_ j ->
+      Atomic.incr counters.(j);
+      (match obs with None -> Table.peek table j | Some o -> observed_peek o table j)
+  | Spinlock { hold } ->
+    fun ~step:_ j ->
+      let l = locks.(j) in
+      let v =
+        match obs with
+        | None ->
+          spin_acquire l;
+          Table.peek table j
+        | Some ((wo, _) as o) ->
+          (* Fast path: uncontended acquisition records zero wait
+             without touching the clock. *)
+          if Atomic.compare_and_set l false true then
+            Metrics.observe wo.shard wo.ids.m_spin_wait 0
+          else begin
+            let t0 = Lc_obs.Clock.now_ns () in
+            spin_acquire l;
+            Metrics.observe wo.shard wo.ids.m_spin_wait (ns_since t0)
+          end;
+          observed_peek o table j
+      in
+      for _ = 1 to hold do
+        Domain.cpu_relax ()
+      done;
+      Atomic.set l false;
+      Atomic.incr counters.(j);
+      v
+
+(* ------------------------------------------------------------------ *)
+(* The run skeleton                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One worker domain's view of the workload: its membership step, plus
+   the hooks the instrumented loop reads — the reader's cumulative probe
+   count and the ns it spent announcing epochs (0 for static runs). *)
+type reader = {
+  query : int -> bool;
+  probes : unit -> int;
+  pin_ns : unit -> int;
+}
+
+(* The bare per-query loop: no clock reads, no metric stores. *)
+let bare_loop query batch =
+  let hits = ref 0 in
+  for i = 0 to Array.length batch - 1 do
+    if query (Array.unsafe_get batch i) then incr hits
+  done;
+  !hits
+
+(* The instrumented per-query loop (obs and monitored tiers). Each query
+   is timed into the latency histogram and the probe/tally phases; a
+   monitored worker also publishes its shard and sketch through its
+   seqlock slot every [publish_period] queries and journals each
+   publication on its own ring, one event per period so the recorder
+   costs the hot path nothing measurable. Phase time accumulates in
+   locals and lands in the worker's [phase_stats] once, at batch end.
+   Returns the hit count and that record. *)
+let instrumented_loop rd wo batch =
+  let journal = Option.bind wo.monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
+  let publish served =
+    publish_slot wo;
+    Option.iter
+      (fun j -> Journal.record j ~writer:wo.slot (Journal.Publish { queries = served }))
+      journal
+  in
+  let period = match wo.monitor with None -> max_int | Some m -> m.Monitor.publish_period in
+  Span.with_span wo.timeline "serve-batch" @@ fun () ->
+  let w0 = Lc_obs.Clock.now_ns () in
+  let gcur = gc_cursor () in
+  let hits = ref 0 and probes = ref (rd.probes ()) in
+  let probe_ns = ref 0 and tally_ns = ref 0 and publish_ns = ref 0 in
+  let served = ref 0 and since_publish = ref 0 in
+  Array.iter
+    (fun x ->
+      let t0 = Lc_obs.Clock.now_ns () in
+      if rd.query x then incr hits;
+      let t1 = Lc_obs.Clock.now_ns () in
+      let dt = Int64.to_int (Int64.sub t1 t0) in
+      Metrics.observe wo.shard wo.ids.m_latency dt;
+      Metrics.incr wo.shard wo.ids.m_queries 1;
+      let p = rd.probes () in
+      Metrics.incr wo.shard wo.ids.m_probes (p - !probes);
+      probes := p;
+      let t2 = Lc_obs.Clock.now_ns () in
+      (* The phase sums below land after [t2]: the accounting overhead
+         charges itself to the [other] residual, never to the phases it
+         measures. *)
+      probe_ns := !probe_ns + dt;
+      tally_ns := !tally_ns + Int64.to_int (Int64.sub t2 t1);
+      incr served;
+      incr since_publish;
+      if !since_publish >= period then begin
+        since_publish := 0;
+        let pb0 = Lc_obs.Clock.now_ns () in
+        sample_gc wo.shard wo.gids gcur;
+        publish !served;
+        publish_ns := !publish_ns + ns_since pb0
+      end)
+    batch;
+  sample_gc wo.shard wo.gids gcur;
+  let wall_ns = ns_since w0 in
+  (* Dynamic readers accumulated pin/unpin ns inside the probe windows
+     ([Epoch.mem_phased]); carve them out so probe means probe. [other]
+     is the exact residual. *)
+  let pin_ns = rd.pin_ns () in
+  let ph =
+    {
+      ph_domain = wo.slot - 1;
+      ph_probe_ns = !probe_ns - pin_ns;
+      ph_tally_ns = !tally_ns;
+      ph_publish_ns = !publish_ns;
+      ph_pin_ns = pin_ns;
+      ph_other_ns = wall_ns - !probe_ns - !tally_ns - !publish_ns;
+      ph_wall_ns = wall_ns;
+      ph_idle_ns = 0;
+    }
+  in
+  flush_phases wo.shard wo.pids ph;
+  (* Final publication: the monitor's last tick must see the complete
+     batch (and the flushed phase totals) so windowed totals reconcile
+     exactly. Deliberately after the wall cut — it cannot be charged to
+     a phase it publishes. *)
+  publish !served;
+  (!hits, Some ph)
+
+(* The builder domain's telemetry (instrumented dynamic runs): its
+   domain slot, the update-path metrics, and [b_record], which journals
+   on the builder's ring. *)
+type builder_obs = {
+  b_dom : domain_obs;
+  b_uids : update_metric_ids;
+  b_record : Journal.kind -> unit;
+}
 
 (* Sleep [total] seconds in short slices so a stop flag set at worker
    join wakes the monitor domain promptly. *)
@@ -964,264 +1055,72 @@ let interruptible_sleep total stop =
     remaining := !remaining -. d
   done
 
-let serve_internal ?(cost = Free) ?obs ?monitor ~domains ~queries_per_domain ~seed inst qdist =
-  if domains < 1 then invalid_arg "Engine.serve: domains must be >= 1";
-  if queries_per_domain < 1 then
-    invalid_arg "Engine.serve: queries_per_domain must be >= 1";
-  (match monitor with
-  | Some (m : Monitor.t) when m.Monitor.domains <> domains ->
-    invalid_arg
-      (Printf.sprintf "Engine.serve_windowed: monitor was created for %d domains, serve got %d"
-         m.Monitor.domains domains)
-  | _ -> ());
-  (* A monitor carries its own observability handle. *)
-  let obs = match monitor with Some m -> Some m.Monitor.obs | None -> obs in
-  let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
-  let counters = Array.init D.space (fun _ -> Atomic.make 0) in
-  (match monitor with Some m -> m.Monitor.live_counts <- Some counters | None -> ());
-  let locks = make_locks ~cost ~space:D.space in
-  (* Everything per-domain (metric shards, timelines, probe closures) is
-     created on the orchestrating domain before any worker spawns, so
-     the workers themselves never touch the registry mutexes. *)
-  let setup =
-    match obs with
-    | None -> None
-    | Some (o : Lc_obs.Obs.t) ->
-      let ids = register_metrics o in
-      let main_shard = Lc_obs.Obs.shard o ~domain:0 in
-      Metrics.set_gauge main_shard ids.m_domains (float_of_int domains);
-      let main_tl = Lc_obs.Obs.timeline o ~tid:0 in
-      let workers =
-        Array.init domains (fun w ->
-            {
-              shard = Lc_obs.Obs.shard o ~domain:(w + 1);
-              timeline = Lc_obs.Obs.timeline o ~tid:(w + 1);
-              queries_c = ids.m_queries;
-              probes_c = ids.m_probes;
-              latency_h = ids.m_latency;
-              probe_latency_h = ids.m_probe_latency;
-              spin_wait_h = ids.m_spin_wait;
-            })
-      in
-      let pids = register_phase_metrics o in
-      let gids = register_gc_metrics o in
-      (* Publish the orchestrator's shard (the domains gauge) once now;
-         it is republished after the join with the idle-phase total. *)
-      (match monitor with
-      | Some m ->
-        Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-      | None -> ());
-      Some (main_tl, workers, (main_shard, pids, gids))
-  in
-  (* Per-worker phase records and GC cursors, allocated by the
-     orchestrator before any domain spawns (plain single-writer stores,
-     like the metric shards); untouched on the obs-off path. *)
-  let phases = fresh_phases domains in
-  let gcursors = fresh_gc_cursors domains in
-  let journal = Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
-  let main_span name f =
-    let body () =
-      match setup with
-      | None -> f ()
-      | Some (main_tl, _, _) -> Span.with_span main_tl name f
-    in
-    match journal with
-    | None -> body ()
-    | Some j ->
-      (* Orchestrator stage boundaries (ring 0) give a postmortem its
-         coarse timeline even when the alert fires before any window. *)
-      Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
-      Fun.protect
-        ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
-        body
-  in
-  (* Pre-sample each domain's query batch outside the timed section so
-     throughput measures probing, not distribution sampling. *)
-  let batches =
-    main_span "sample-batches" @@ fun () ->
-    Array.init domains (fun w ->
-        let rng = Rng.create (seed + (7919 * (w + 1))) in
-        Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng))
-  in
-  let worker w () =
-    let rng = Rng.create (seed lxor (104729 * (w + 1))) in
-    match (setup, monitor) with
-    | None, _ ->
-      let probe = make_probe ~cost ~counters ~locks D.table in
-      Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) batches.(w)
-    | Some (_, workers, (_, pids, gids)), None ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let probe = make_obs_probe ~cost ~counters ~locks D.table wo in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          Array.iter
-            (fun x ->
-              let t0 = Lc_obs.Clock.now_ns () in
-              ignore (D.mem ~probe rng x : bool);
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              let t2 = Lc_obs.Clock.now_ns () in
-              (* The phase stores below land after [t2]: the accounting
-                 overhead charges itself to the [other] residual, never
-                 to the phases it measures. *)
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1))
-            batches.(w);
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:0;
-          flush_phases wo.shard pids ph)
-    | Some (_, workers, (_, pids, gids)), Some m ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let sketch = m.Monitor.sketches.(w) in
-      let pub = Window.publisher m.Monitor.window (w + 1) in
-      let period = m.Monitor.publish_period in
-      let probe = make_obs_probe ~sketch ~cost ~counters ~locks D.table wo in
-      (* Journal a worker's publications on its own ring (w + 1): one
-         event per publish_period queries, so the recorder costs the hot
-         path nothing measurable. *)
-      let journal_publish =
-        match m.Monitor.journal with
-        | None -> fun _ -> ()
-        | Some j -> fun q -> Journal.record j ~writer:(w + 1) (Journal.Publish { queries = q })
-      in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let since_publish = ref 0 in
-          let served = ref 0 in
-          Array.iter
-            (fun x ->
-              let t0 = Lc_obs.Clock.now_ns () in
-              ignore (D.mem ~probe rng x : bool);
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
-              incr served;
-              incr since_publish;
-              if !since_publish >= period then begin
-                since_publish := 0;
-                let pb0 = Lc_obs.Clock.now_ns () in
-                sample_gc wo.shard gids gcur;
-                Window.publish pub wo.shard sketch;
-                journal_publish !served;
-                ph.ph_publish_ns <-
-                  ph.ph_publish_ns
-                  + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
-              end)
-            batches.(w);
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:0;
-          flush_phases wo.shard pids ph;
-          (* Final publication: the monitor's last tick must see the
-             complete batch (and the flushed phase totals) so windowed
-             totals reconcile exactly. Deliberately after the wall cut —
-             it cannot be charged to a phase it publishes. *)
-          Window.publish pub wo.shard sketch;
-          journal_publish !served)
-  in
-  (* The monitor domain ticks windows on its interval while workers are
-     hot; it is stopped (and joined) outside the timed section so the
-     throughput columns stay comparable with unmonitored runs. *)
-  let monitor_stop = Atomic.make false in
-  let monitor_domain =
-    match monitor with
-    | None -> None
-    | Some m ->
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get monitor_stop) do
-               interruptible_sleep m.Monitor.interval_s monitor_stop;
-               if not (Atomic.get monitor_stop) then ignore (Monitor.tick m : Window.entry)
-             done))
-  in
-  let t0 = Unix.gettimeofday () in
-  let serve_t0_ns = Lc_obs.Clock.now_ns () in
-  let seconds =
-    main_span "serve" @@ fun () ->
-    let spawned = Array.init domains (fun w -> Domain.spawn (worker w)) in
-    Array.iter Domain.join spawned;
-    Unix.gettimeofday () -. t0
-  in
-  let serve_wall_ns = Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) serve_t0_ns) in
-  (* Idle/join accounting, filled in by the orchestrator now that the
-     workers' phase records are quiescent: what the serve section spent
-     spawning, joining and waiting around each worker's own batch. *)
-  (match setup with
-  | None -> ()
-  | Some (_, _, (main_shard, pids, _)) ->
-    Array.iter
-      (fun ph ->
-        ph.ph_idle_ns <- max 0 (serve_wall_ns - ph.ph_wall_ns);
-        Metrics.incr main_shard pids.p_idle_c ph.ph_idle_ns)
-      phases;
-    (* Republish the orchestrator's shard so the final tick's merged
-       snapshot carries the idle totals. *)
-    match monitor with
-    | Some m ->
-      Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-    | None -> ());
-  (match monitor_domain with
-  | None -> ()
-  | Some d ->
-    Atomic.set monitor_stop true;
-    Domain.join d;
-    (* One final, authoritative window over whatever the interval ticks
-       had not yet consumed. *)
-    ignore (Monitor.tick (Option.get monitor) : Window.entry));
-  main_span "merge" @@ fun () ->
-  let counts = Array.map Atomic.get counters in
-  let total_probes = Array.fold_left ( + ) 0 counts in
+(* The monitor domain ticks windows on its interval while workers are
+   hot; the orchestrator stops it (one-way flag) and cuts the final
+   window itself. *)
+let monitor_loop (m : Monitor.t) stop =
+  while not (Atomic.get stop) do
+    interruptible_sleep m.Monitor.interval_s stop;
+    if not (Atomic.get stop) then ignore (Monitor.tick m : Window.entry)
+  done
+
+(* Spawn [f] on a new domain and return its joiner. A raise inside [f],
+   or a failed spawn, comes back from the joiner as [Error] with the
+   backtrace of the original raise, so the orchestrator can still join
+   every other domain before re-raising. *)
+let spawn f =
+  match
+    Domain.spawn (fun () -> try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()))
+  with
+  | d -> fun () -> Domain.join d
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    fun () -> Error (e, bt)
+
+(* Join one domain, keeping the first failure seen. *)
+let join failure joiner =
+  match joiner () with
+  | Ok v -> Some v
+  | Error f ->
+    if Option.is_none !failure then failure := Some f;
+    None
+
+(* The one worker-spawn site: run [worker w] for each [w] on its own
+   domain and join them all. *)
+let run_workers failure domains worker =
+  Array.map (join failure) (Array.init domains (fun w -> spawn (worker w)))
+
+(* What a workload reports at merge time, for [result]: its per-cell
+   tallies (one per cell of the final table) and probe total. *)
+type tally = {
+  t_name : string;
+  t_counts : int array;
+  t_probes : int;
+  t_max_probes : int;
+}
+
+let make_result ~domains ~queries ~seconds t =
+  let counts = t.t_counts in
+  let space = Array.length counts in
   let hottest_cell = ref 0 in
   Array.iteri (fun j c -> if c > counts.(!hottest_cell) then hottest_cell := j) counts;
-  let hottest_count = counts.(!hottest_cell) in
-  let queries = domains * queries_per_domain in
-  ( {
-      name = D.name;
-      domains;
-      queries;
-      seconds;
-      throughput =
-        (if seconds > 0.0 then float_of_int queries /. seconds else Float.infinity);
-      total_probes;
-      counts;
-      hottest_cell = !hottest_cell;
-      hottest_count;
-      hottest_share =
-        (if total_probes = 0 then 0.0
-         else float_of_int hottest_count /. float_of_int total_probes);
-      flat_bound = float_of_int queries *. float_of_int D.max_probes /. float_of_int D.space;
-    },
-    match setup with None -> None | Some _ -> Some phases )
-
-(* ------------------------------------------------------------------ *)
-(* The unified entry point                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Config = struct
-  type nonrec t = {
-    domains : int;
-    seed : int;
-    cost : cost;
-    obs : Lc_obs.Obs.t option;
-    monitor : Monitor.t option;
+  let hottest_count = if space = 0 then 0 else counts.(!hottest_cell) in
+  {
+    name = t.t_name;
+    domains;
+    queries;
+    seconds;
+    throughput = (if seconds > 0.0 then float_of_int queries /. seconds else Float.infinity);
+    total_probes = t.t_probes;
+    counts;
+    hottest_cell = !hottest_cell;
+    hottest_count;
+    hottest_share =
+      (if t.t_probes = 0 then 0.0 else float_of_int hottest_count /. float_of_int t.t_probes);
+    flat_bound =
+      (if space = 0 then 0.0
+       else float_of_int queries *. float_of_int t.t_max_probes /. float_of_int space);
   }
-
-  let make ?(cost = Free) ?obs ?monitor ~domains ~seed () =
-    { domains; seed; cost; obs; monitor }
-end
 
 type workload =
   | Static of {
@@ -1264,9 +1163,161 @@ type outcome = {
   phases : phase_stats array option;
 }
 
-let monitored_outcome ?updates ?phases result = function
+(* The one run path, for both workload shapes. [sample] yields each
+   worker's query batch (run under the "sample-batches" stage, outside
+   the timed section); [reader w wo] builds worker [w]'s step on its own
+   domain, instrumented iff [wo] is present; the optional [builder] runs
+   on one extra domain next to the workers; [merge] reads the tallies
+   once every domain has joined.
+
+   Layout, for shards, timelines, seqlock publishers and journal rings
+   alike: 0 = orchestrator, 1..domains = workers, domains + 1 = the
+   monitor's journal ring and the builder's shard/publisher,
+   domains + 2 = the builder's journal ring. Everything per-domain is
+   created here, on the orchestrator, before any domain spawns, so the
+   domains themselves never touch the registry mutexes.
+
+   Failure: every spawned domain is joined, the builder released and the
+   monitor stopped and joined before the first exception re-raises with
+   its original backtrace — a raising worker never leaks a domain or
+   leaves the monitor ticking. *)
+let serve ~domains ~tier ~sample ~reader ?builder ~merge () =
+  let obs, monitor =
+    match tier with
+    | Bare -> (None, None)
+    | Obs o -> (Some o, None)
+    | Monitored m -> (Some m.Monitor.obs, Some m)
+  in
+  let journal = Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
+  let setup =
+    Option.map
+      (fun o ->
+        let ids = register_metrics o in
+        let uids = Option.map (fun _ -> register_update_metrics o) builder in
+        let pids = register_phase_metrics o in
+        let gids = register_gc_metrics o in
+        let domain_obs slot =
+          {
+            slot;
+            shard = Lc_obs.Obs.shard o ~domain:slot;
+            timeline = Lc_obs.Obs.timeline o ~tid:slot;
+            ids;
+            pids;
+            gids;
+            sketch = Option.map (fun (m : Monitor.t) -> m.Monitor.sketches.(slot)) monitor;
+            monitor;
+          }
+        in
+        let main = domain_obs 0 in
+        Metrics.set_gauge main.shard ids.m_domains (float_of_int domains);
+        (* Publish the orchestrator's shard (the domains gauge) once now;
+           it is republished after the join with the idle-phase total. *)
+        publish_slot main;
+        let workers = Array.init domains (fun w -> domain_obs (w + 1)) in
+        let bobs =
+          Option.map
+            (fun b_uids ->
+              {
+                b_dom = domain_obs (domains + 1);
+                b_uids;
+                (* Recorded only when the journal was sized for the
+                   builder ring, so journals with domains + 2 rings keep
+                   working with the builder simply silent. *)
+                b_record =
+                  (match journal with
+                  | Some j when Journal.writers j >= domains + 3 ->
+                    Journal.record j ~writer:(domains + 2)
+                  | _ -> ignore);
+              })
+            uids
+        in
+        (main, workers, bobs))
+      obs
+  in
+  let main_span name f =
+    let body () =
+      match setup with
+      | None -> f ()
+      | Some (main, _, _) -> Span.with_span main.timeline name f
+    in
+    match journal with
+    | None -> body ()
+    | Some j ->
+      (* Orchestrator stage boundaries (ring 0) give a postmortem its
+         coarse timeline even when the alert fires before any window. *)
+      Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
+      Fun.protect
+        ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
+        body
+  in
+  let batches = main_span "sample-batches" sample in
+  let queries = Array.fold_left (fun acc b -> acc + Array.length b) 0 batches in
+  let worker w () =
+    match setup with
+    | None -> (bare_loop (reader w None).query batches.(w), None)
+    | Some (_, workers, _) ->
+      let wo = workers.(w) in
+      instrumented_loop (reader w (Some wo)) wo batches.(w)
+  in
+  let failure = ref None in
+  let monitor_stop = Atomic.make false in
+  (* One-way flag, like monitor_stop: set once the workers have joined;
+     an adaptive builder polls it to end its keep-alive loop. *)
+  let readers_done = Atomic.make false in
+  (* The monitor domain is stopped (and joined) outside the timed
+     section so the throughput columns stay comparable with unmonitored
+     runs. *)
+  let monitor_d = Option.map (fun m -> spawn (fun () -> monitor_loop m monitor_stop)) monitor in
+  let t0 = Unix.gettimeofday () in
+  let serve_t0_ns = Lc_obs.Clock.now_ns () in
+  let seconds, results, built =
+    main_span "serve" @@ fun () ->
+    let builder_d =
+      Option.map
+        (fun b ->
+          let bobs = Option.bind setup (fun (_, _, bobs) -> bobs) in
+          spawn (fun () -> b bobs readers_done))
+        builder
+    in
+    let results = run_workers failure domains worker in
+    Atomic.set readers_done true;
+    let built = Option.bind builder_d (join failure) in
+    (Unix.gettimeofday () -. t0, results, built)
+  in
+  let serve_wall_ns = ns_since serve_t0_ns in
+  Atomic.set monitor_stop true;
+  Option.iter (fun d -> ignore (join failure d : unit option)) monitor_d;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+  let results = Array.map Option.get results in
+  (* Idle/join accounting, now that the workers' phase records are
+     final: what the serve section spent spawning, joining and waiting
+     around each worker's own batch. *)
+  let phases =
+    Option.map
+      (fun (main, _, _) ->
+        let phases =
+          Array.map
+            (fun (_, ph) ->
+              let ph = Option.get ph in
+              { ph with ph_idle_ns = max 0 (serve_wall_ns - ph.ph_wall_ns) })
+            results
+        in
+        Array.iter (fun ph -> Metrics.incr main.shard main.pids.p_idle_c ph.ph_idle_ns) phases;
+        (* Republish the orchestrator's shard so the final tick's merged
+           snapshot carries the idle totals, then cut one final,
+           authoritative window over whatever the interval ticks had not
+           yet consumed. *)
+        publish_slot main;
+        phases)
+      setup
+  in
+  Option.iter (fun m -> ignore (Monitor.tick m : Window.entry)) monitor;
+  main_span "merge" @@ fun () ->
+  let tally, updates = merge ~hits:(Array.map fst results) built in
+  let result = make_result ~domains ~queries ~seconds tally in
+  match monitor with
   | None -> { result; windows = []; cells = None; alert_windows = 0; updates; phases }
-  | Some (m : Monitor.t) ->
+  | Some m ->
     {
       result;
       windows = Window.entries m.Monitor.window;
@@ -1276,6 +1327,167 @@ let monitored_outcome ?updates ?phases result = function
       phases;
     }
 
+(* ------------------------------------------------------------------ *)
+(* The two workloads                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let run_static ~tier ~cost ~domains ~seed inst qdist ~queries_per_domain =
+  if queries_per_domain < 1 then invalid_arg "Engine.run: queries_per_domain must be >= 1";
+  let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
+  let counters = Array.init D.space (fun _ -> Atomic.make 0) in
+  (match tier with Monitored m -> m.Monitor.live_counts <- Some counters | _ -> ());
+  let locks = make_locks ~cost ~space:D.space in
+  serve ~domains ~tier
+    (* Pre-sample each domain's query batch outside the timed section so
+       throughput measures probing, not distribution sampling. *)
+    ~sample:(fun () ->
+      Array.init domains (fun w ->
+          let rng = Rng.create (seed + (7919 * (w + 1))) in
+          Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng)))
+    ~reader:(fun w wo ->
+      let rng = Rng.create (seed lxor (104729 * (w + 1))) in
+      let probes = ref 0 in
+      let obs = Option.map (fun wo -> (wo, probes)) wo in
+      let probe = make_probe ?obs ~cost ~counters ~locks D.table in
+      { query = D.mem ~probe rng; probes = (fun () -> !probes); pin_ns = (fun () -> 0) })
+    ~merge:(fun ~hits:_ _ ->
+      let counts = Array.map Atomic.get counters in
+      ( {
+          t_name = D.name;
+          t_counts = counts;
+          t_probes = Array.fold_left ( + ) 0 counts;
+          t_max_probes = D.max_probes;
+        },
+        None ))
+    ()
+
+(* One publication by the builder: apply a pending controller request
+   first (a re-replication through the accounted build path, so its
+   Level_merge events and rebuild counters fire), publish, reclaim, then
+   record all of it on the builder's shard, journal ring and seqlock
+   slot. Readers are never blocked: they keep serving the previous
+   snapshot until the one Atomic.set inside the publish. *)
+let publish_and_reclaim epoch bobs gcur =
+  let applied = Epoch.apply_boost_request epoch in
+  let pi = Epoch.publish_stats epoch in
+  let freed = Epoch.try_reclaim epoch in
+  match bobs with
+  | None -> ()
+  | Some bo ->
+    let uids = bo.b_uids and d = bo.b_dom in
+    Option.iter
+      (fun (ba : Epoch.boost_applied) ->
+        bo.b_record
+          (Journal.Control_applied
+             {
+               id = ba.Epoch.ba_id;
+               epoch = pi.Epoch.pi_epoch;
+               boost = ba.Epoch.ba_boost;
+               levels = ba.Epoch.ba_levels;
+               cells = ba.Epoch.ba_cells;
+               dur_ns = ba.Epoch.ba_ns;
+             }))
+      applied;
+    bo.b_record
+      (Journal.Epoch_publish
+         {
+           epoch = pi.Epoch.pi_epoch;
+           batch = pi.Epoch.pi_batch;
+           levels = pi.Epoch.pi_levels;
+           fresh_cells = pi.Epoch.pi_fresh_cells;
+           dur_ns = pi.Epoch.pi_dur_ns;
+         });
+    Metrics.incr d.shard uids.u_pubs_c 1;
+    Metrics.observe d.shard uids.u_publish_h pi.Epoch.pi_dur_ns;
+    Metrics.observe d.shard uids.u_batch_h pi.Epoch.pi_batch;
+    if freed > 0 then begin
+      Metrics.incr d.shard uids.u_reclaimed_c freed;
+      bo.b_record
+        (Journal.Reclaim
+           {
+             epoch = pi.Epoch.pi_epoch;
+             freed;
+             lag = Epoch.reclaim_lag_max epoch;
+             pending = Epoch.retired_pending epoch;
+           })
+    end;
+    Metrics.set_gauge d.shard uids.u_epoch_g (float_of_int pi.Epoch.pi_epoch);
+    Metrics.set_gauge d.shard uids.u_retired_g (float_of_int (Epoch.retired_pending epoch));
+    Metrics.set_gauge d.shard uids.u_lag_g (float_of_int (Epoch.reader_lag epoch));
+    (* Builder allocation (level rebuilds dominate it) flushes at every
+       publication so the windowed GC view sees write-side churn
+       mid-run. *)
+    sample_gc d.shard d.gids gcur;
+    publish_slot d
+
+(* The builder domain of a dynamic run: apply the update subsequence in
+   stream order, publishing every [publish_every] updates and once at
+   the end so readers finish against the complete table (and the
+   monitor's last tick sees the complete builder shard). Returns the
+   inserts, deletes and builder wall ns, measured whether or not
+   telemetry is attached. *)
+let dynamic_builder epoch ~updates ~publish_every ~adaptive bobs readers_done =
+  let t_start = Lc_obs.Clock.now_ns () in
+  let gcur = gc_cursor () in
+  let publish () = publish_and_reclaim epoch bobs gcur in
+  let span name f =
+    match bobs with None -> f () | Some bo -> Span.with_span bo.b_dom.timeline name f
+  in
+  let inserts = ref 0 and deletes = ref 0 in
+  let apply () =
+    span "apply-updates" (fun () ->
+        Array.iteri
+          (fun i op ->
+            (match op with
+            | Opstream.Insert x ->
+              Epoch.insert epoch x;
+              incr inserts;
+              Option.iter (fun bo -> Metrics.incr bo.b_dom.shard bo.b_uids.u_inserts_c 1) bobs
+            | Opstream.Delete x ->
+              Epoch.delete epoch x;
+              incr deletes;
+              Option.iter (fun bo -> Metrics.incr bo.b_dom.shard bo.b_uids.u_deletes_c 1) bobs
+            | Opstream.Query _ -> assert false (* split put queries elsewhere *));
+            if (i + 1) mod publish_every = 0 then publish ())
+          updates;
+        publish ());
+    (* Adaptive runs: the update stream may drain long before the
+       readers do, and without a builder no one could apply the
+       controller's requests — so keep the builder alive until the
+       orchestrator joins the readers, publishing whenever a boost
+       request lands and dozing (never spinning) otherwise. The final
+       check drains a request that raced the readers_done flag, so the
+       post-run /control.json shows applied = target. *)
+    if adaptive then
+      span "boost-keepalive" (fun () ->
+          while not (Atomic.get readers_done) do
+            if Epoch.boost_pending epoch then publish ()
+            else Unix.sleepf 0.001
+          done;
+          if Epoch.boost_pending epoch then publish ())
+  in
+  (match bobs with
+  | None -> apply ()
+  | Some bo ->
+    (* Every level build lands in the builder's own shard (plain stores)
+       the moment it happens — the windowed view and the flight recorder
+       see rebuild cost mid-run, not at join. *)
+    let inner = Epoch.inner epoch in
+    Dynamic.set_build_hook inner (fun bi ->
+        Metrics.incr bo.b_dom.shard bo.b_uids.u_cells_c bi.Dynamic.bi_cells;
+        Metrics.observe bo.b_dom.shard bo.b_uids.u_rebuild_h bi.Dynamic.bi_ns;
+        bo.b_record
+          (Journal.Level_merge
+             {
+               level = bi.Dynamic.bi_index;
+               keys = bi.Dynamic.bi_keys;
+               replicas = bi.Dynamic.bi_replicas;
+               cells = bi.Dynamic.bi_cells;
+               dur_ns = bi.Dynamic.bi_ns;
+             }));
+    Fun.protect ~finally:(fun () -> Dynamic.clear_build_hook inner) apply);
+  (!inserts, !deletes, ns_since t_start)
+
 (* The dynamic serving mode: [domains] reader domains drain pre-split
    query batches through epoch-pinned lock-free probes while one builder
    domain applies the update subsequence in stream order, publishing a
@@ -1283,489 +1495,111 @@ let monitored_outcome ?updates ?phases result = function
    levels as readers leave. The spinlock cost model is a per-cell lock
    array sized at build time — meaningless when the cell set changes per
    publication — so dynamic serving accepts only [Free]. *)
-let serve_dynamic (cfg : Config.t) ~epoch ~ops ~publish_every =
-  let { Config.domains; seed; cost; obs; monitor } = cfg in
-  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
+let run_dynamic ~tier ~cost ~domains ~seed epoch ~ops ~publish_every =
   if publish_every < 1 then invalid_arg "Engine.run: publish_every must be >= 1";
   (match cost with
   | Free -> ()
   | Spinlock _ ->
     invalid_arg "Engine.run: the Spinlock cost model applies to static serving only");
-  (match monitor with
-  | Some (m : Monitor.t) when m.Monitor.domains <> domains ->
-    invalid_arg
-      (Printf.sprintf "Engine.run: monitor was created for %d domains, run got %d"
-         m.Monitor.domains domains)
-  | _ -> ());
-  let obs = match monitor with Some m -> Some m.Monitor.obs | None -> obs in
   (* Adaptive runs: wire the controller's act step to the epoch's boost
      request channel before anything spawns. The monitor domain decides
      (Monitor.tick -> Controller.observe -> request_boost, one
      Atomic.set); the builder domain applies at its next publication. *)
-  let controller = Option.bind monitor (fun m -> m.Monitor.controller) in
-  (match controller with
-  | None -> ()
-  | Some ctl ->
-    Lc_control.Controller.set_actuator ctl (fun ~id ~boost ->
-        Epoch.request_boost epoch ~id ~boost);
-    Lc_control.Controller.set_applied_reader ctl (fun () -> Epoch.applied_boost epoch));
+  let controller = match tier with Monitored m -> m.Monitor.controller | _ -> None in
+  Option.iter
+    (fun ctl ->
+      Lc_control.Controller.set_actuator ctl (fun ~id ~boost ->
+          Epoch.request_boost epoch ~id ~boost);
+      Lc_control.Controller.set_applied_reader ctl (fun () -> Epoch.applied_boost epoch))
+    controller;
   let updates, query_batches = Opstream.split ops ~domains in
-  let total_queries = Array.fold_left (fun acc b -> acc + Array.length b) 0 query_batches in
   (* Readers are registered on the orchestrator so worker domains never
      race the slot allocator; each gets a private rng. *)
   let readers =
     Array.init domains (fun w -> Epoch.reader epoch (Rng.create (seed lxor (104729 * (w + 1)))))
   in
-  let hits = Array.make domains 0 in
-  (* Per-domain observability plumbing, as in the static path: shard
-     0 = orchestrator, 1..domains = readers, domains + 1 = builder. *)
-  let setup =
-    match obs with
-    | None -> None
-    | Some (o : Lc_obs.Obs.t) ->
-      let ids = register_metrics o in
-      let main_shard = Lc_obs.Obs.shard o ~domain:0 in
-      Metrics.set_gauge main_shard ids.m_domains (float_of_int domains);
-      let main_tl = Lc_obs.Obs.timeline o ~tid:0 in
-      let workers =
-        Array.init domains (fun w ->
-            {
-              shard = Lc_obs.Obs.shard o ~domain:(w + 1);
-              timeline = Lc_obs.Obs.timeline o ~tid:(w + 1);
-              queries_c = ids.m_queries;
-              probes_c = ids.m_probes;
-              latency_h = ids.m_latency;
-              probe_latency_h = ids.m_probe_latency;
-              spin_wait_h = ids.m_spin_wait;
-            })
-      in
-      let builder_shard = Lc_obs.Obs.shard o ~domain:(domains + 1) in
-      let builder_tl = Lc_obs.Obs.timeline o ~tid:(domains + 1) in
-      let uids = register_update_metrics o in
-      let pids = register_phase_metrics o in
-      let gids = register_gc_metrics o in
-      (match monitor with
-      | Some m ->
-        Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-      | None -> ());
-      Some (main_tl, workers, (main_shard, pids, gids), (builder_shard, builder_tl, uids))
-  in
-  (* Reader phase records and GC cursors (slot [domains] is the
-     builder's GC cursor), orchestrator-allocated before any spawn. *)
-  let phases = fresh_phases domains in
-  let gcursors = fresh_gc_cursors (domains + 1) in
-  let journal = Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
-  let main_span name f =
-    let body () =
-      match setup with
-      | None -> f ()
-      | Some (main_tl, _, _, _) -> Span.with_span main_tl name f
-    in
-    match journal with
-    | None -> body ()
-    | Some j ->
-      Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
-      Fun.protect
-        ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
-        body
-  in
-  (* Builder-side totals, written by the builder domain and read by the
-     orchestrator strictly after the join. [b_ns] is the builder's wall
-     time over the whole update stream — the denominator-free numerator
-     of ns/update, measured whether or not telemetry is attached. *)
-  let b_inserts = ref 0 and b_deletes = ref 0 in
-  let b_ns = ref 0 in
   (* Run-scoped baselines: a preloaded epoch arrives with build work
      already on its lifetime totals (Dynamic counters never reset),
      while the engine_* metrics only ever see this run — subtracting
      the baseline keeps [update_stats] reconciling exactly with the
      counters and the windowed sums. *)
-  let cells0 = Lc_dynamic.Dynamic.cells_written (Epoch.inner epoch) in
-  let rebuilds0 = Lc_dynamic.Dynamic.rebuilds (Epoch.inner epoch) in
-  let rebuild_ns0 = Lc_dynamic.Dynamic.rebuild_ns (Epoch.inner epoch) in
-  let publish_ns0 = Epoch.publish_ns_total epoch in
-  (* Builder journal ring (writer domains + 2) — recorded only when the
-     journal was sized for it, so PR 6-era journals (domains + 2 rings)
-     keep working with the builder simply silent. *)
-  let bjournal =
-    match journal with
-    | Some j when Journal.writers j >= domains + 3 -> Some j
-    | _ -> None
-  in
-  let bwriter = domains + 2 in
-  (* One-way flag, like monitor_stop: the orchestrator sets it (once,
-     after joining the readers); an adaptive run's builder polls it to
-     end its keep-alive loop. *)
-  let readers_done = Atomic.make false in
-  let builder () =
-    let t_start = Lc_obs.Clock.now_ns () in
-    (match setup with
-    | None ->
-      let apply_updates () =
-        let applied = ref 0 in
-        Array.iter
-          (fun op ->
-            (match op with
-            | Opstream.Insert x ->
-              Epoch.insert epoch x;
-              incr b_inserts
-            | Opstream.Delete x ->
-              Epoch.delete epoch x;
-              incr b_deletes
-            | Opstream.Query _ -> assert false (* split put queries elsewhere *));
-            incr applied;
-            if !applied mod publish_every = 0 then begin
-              Epoch.publish epoch;
-              ignore (Epoch.try_reclaim epoch : int)
-            end)
-          updates;
-        (* Final publication: readers finish against the complete table. *)
-        Epoch.publish epoch;
-        ignore (Epoch.try_reclaim epoch : int)
-      in
-      apply_updates ()
-    | Some (_, _, (_, _, gids), (bshard, btl, uids)) ->
-      let bgcur = gcursors.(domains) in
-      gc_baseline bgcur;
-      (* Every level build lands in the builder's own shard (plain
-         stores) the moment it happens — the windowed view and the
-         flight recorder see rebuild cost mid-run, not at join. *)
-      Lc_dynamic.Dynamic.set_build_hook (Epoch.inner epoch) (fun bi ->
-          Metrics.incr bshard uids.u_cells_c bi.Lc_dynamic.Dynamic.bi_cells;
-          Metrics.observe bshard uids.u_rebuild_h bi.Lc_dynamic.Dynamic.bi_ns;
-          match bjournal with
-          | None -> ()
-          | Some j ->
-            Journal.record j ~writer:bwriter
-              (Journal.Level_merge
-                 {
-                   level = bi.Lc_dynamic.Dynamic.bi_index;
-                   keys = bi.Lc_dynamic.Dynamic.bi_keys;
-                   replicas = bi.Lc_dynamic.Dynamic.bi_replicas;
-                   cells = bi.Lc_dynamic.Dynamic.bi_cells;
-                   dur_ns = bi.Lc_dynamic.Dynamic.bi_ns;
-                 }));
-      let bpub =
-        match monitor with
-        | None -> None
-        | Some m ->
-          Some (Window.publisher m.Monitor.window (domains + 1), m.Monitor.builder_sketch)
-      in
-      let publish_now () =
-        (* Act: a pending controller request re-replicates the affected
-           levels right here on the builder domain (through the
-           accounted build path — the Level_merge events and rebuild
-           counters above fire for each), and the publish just below
-           makes them visible. Readers are never blocked: they keep
-           serving the previous snapshot until the one Atomic.set. *)
-        let applied = Epoch.apply_boost_request epoch in
-        let pi = Epoch.publish_stats epoch in
-        (match (applied, bjournal) with
-        | Some ba, Some j ->
-          Journal.record j ~writer:bwriter
-            (Journal.Control_applied
-               {
-                 id = ba.Epoch.ba_id;
-                 epoch = pi.Epoch.pi_epoch;
-                 boost = ba.Epoch.ba_boost;
-                 levels = ba.Epoch.ba_levels;
-                 cells = ba.Epoch.ba_cells;
-                 dur_ns = ba.Epoch.ba_ns;
-               })
-        | _ -> ());
-        Metrics.incr bshard uids.u_pubs_c 1;
-        Metrics.observe bshard uids.u_publish_h pi.Epoch.pi_dur_ns;
-        Metrics.observe bshard uids.u_batch_h pi.Epoch.pi_batch;
-        (match bjournal with
-        | None -> ()
-        | Some j ->
-          Journal.record j ~writer:bwriter
-            (Journal.Epoch_publish
-               {
-                 epoch = pi.Epoch.pi_epoch;
-                 batch = pi.Epoch.pi_batch;
-                 levels = pi.Epoch.pi_levels;
-                 fresh_cells = pi.Epoch.pi_fresh_cells;
-                 dur_ns = pi.Epoch.pi_dur_ns;
-               }));
-        let freed = Epoch.try_reclaim epoch in
-        if freed > 0 then begin
-          Metrics.incr bshard uids.u_reclaimed_c freed;
-          match bjournal with
-          | None -> ()
-          | Some j ->
-            Journal.record j ~writer:bwriter
-              (Journal.Reclaim
-                 {
-                   epoch = pi.Epoch.pi_epoch;
-                   freed;
-                   lag = Epoch.reclaim_lag_max epoch;
-                   pending = Epoch.retired_pending epoch;
-                 })
-        end;
-        Metrics.set_gauge bshard uids.u_epoch_g (float_of_int pi.Epoch.pi_epoch);
-        Metrics.set_gauge bshard uids.u_retired_g
-          (float_of_int (Epoch.retired_pending epoch));
-        Metrics.set_gauge bshard uids.u_lag_g (float_of_int (Epoch.reader_lag epoch));
-        (* Builder allocation (level rebuilds dominate it) flushes at
-           every publication so the windowed GC view sees write-side
-           churn mid-run. *)
-        sample_gc bshard gids bgcur;
-        match bpub with
-        | None -> ()
-        | Some (pub, sketch) -> Window.publish pub bshard sketch
-      in
-      Span.with_span btl "apply-updates" (fun () ->
-          let applied = ref 0 in
-          Array.iter
-            (fun op ->
-              (match op with
-              | Opstream.Insert x ->
-                Epoch.insert epoch x;
-                incr b_inserts;
-                Metrics.incr bshard uids.u_inserts_c 1
-              | Opstream.Delete x ->
-                Epoch.delete epoch x;
-                incr b_deletes;
-                Metrics.incr bshard uids.u_deletes_c 1
-              | Opstream.Query _ -> assert false (* split put queries elsewhere *));
-              incr applied;
-              if !applied mod publish_every = 0 then publish_now ())
-            updates;
-          (* Final publication: readers finish against the complete
-             table, and the monitor's last tick sees the complete
-             builder shard. *)
-          publish_now ());
-      (* Adaptive runs: the update stream may drain long before the
-         readers do, and without a builder no one could apply the
-         controller's requests — so keep the builder alive until the
-         orchestrator joins the readers, publishing whenever a boost
-         request lands and dozing (never spinning) otherwise. The final
-         check drains a request that raced the readers_done flag, so
-         the post-run /control.json shows applied = target. *)
-      (match controller with
-      | None -> ()
-      | Some _ ->
-        Span.with_span btl "boost-keepalive" (fun () ->
-            while not (Atomic.get readers_done) do
-              if Epoch.boost_pending epoch then publish_now () else Unix.sleepf 0.001
-            done;
-            if Epoch.boost_pending epoch then publish_now ()));
-      Lc_dynamic.Dynamic.clear_build_hook (Epoch.inner epoch));
-    b_ns := Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t_start)
-  in
-  let worker w () =
-    let r = readers.(w) in
-    let batch = query_batches.(w) in
-    match (setup, monitor) with
-    | None, _ ->
-      let h = ref 0 in
-      Array.iter (fun x -> if Epoch.mem epoch r x then incr h) batch;
-      hits.(w) <- !h
-    | Some (_, workers, (_, pids, gids), _), None ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let h = ref 0 in
-          Array.iter
-            (fun x ->
-              let p0 = Epoch.reader_probes r in
-              let t0 = Lc_obs.Clock.now_ns () in
-              if Epoch.mem_phased epoch r x then incr h;
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              Metrics.incr wo.shard wo.probes_c (Epoch.reader_probes r - p0);
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1))
-            batch;
-          hits.(w) <- !h;
-          sample_gc wo.shard gids gcur;
-          (* [mem_phased] accumulated pin/unpin ns inside the probe
-             windows; [close_phases] carves them out so probe means
-             probe. *)
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:(Epoch.reader_pin_ns r);
-          flush_phases wo.shard pids ph)
-    | Some (_, workers, (_, pids, gids), _), Some m ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let sketch = m.Monitor.sketches.(w) in
-      let pub = Window.publisher m.Monitor.window (w + 1) in
-      let period = m.Monitor.publish_period in
-      (* The observe hook feeds every probed cell (snapshot-global id)
-         into the worker-private sketch, like the static obs probe. *)
-      Epoch.set_observe r (fun cell -> Heavy.observe sketch cell);
-      let journal_publish =
-        match m.Monitor.journal with
-        | None -> fun _ -> ()
-        | Some j -> fun q -> Journal.record j ~writer:(w + 1) (Journal.Publish { queries = q })
-      in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let h = ref 0 in
-          let since_publish = ref 0 in
-          let served = ref 0 in
-          Array.iter
-            (fun x ->
-              let p0 = Epoch.reader_probes r in
-              let t0 = Lc_obs.Clock.now_ns () in
-              if Epoch.mem_phased epoch r x then incr h;
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              Metrics.incr wo.shard wo.probes_c (Epoch.reader_probes r - p0);
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
-              incr served;
-              incr since_publish;
-              if !since_publish >= period then begin
-                since_publish := 0;
-                let pb0 = Lc_obs.Clock.now_ns () in
-                sample_gc wo.shard gids gcur;
-                Window.publish pub wo.shard sketch;
-                journal_publish !served;
-                ph.ph_publish_ns <-
-                  ph.ph_publish_ns
-                  + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
-              end)
-            batch;
-          hits.(w) <- !h;
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:(Epoch.reader_pin_ns r);
-          flush_phases wo.shard pids ph;
-          Window.publish pub wo.shard sketch;
-          journal_publish !served);
-      Epoch.clear_observe r
-  in
-  let monitor_stop = Atomic.make false in
-  let monitor_domain =
-    match monitor with
-    | None -> None
-    | Some m ->
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get monitor_stop) do
-               interruptible_sleep m.Monitor.interval_s monitor_stop;
-               if not (Atomic.get monitor_stop) then ignore (Monitor.tick m : Window.entry)
-             done))
-  in
-  let t0 = Unix.gettimeofday () in
-  let serve_t0_ns = Lc_obs.Clock.now_ns () in
-  let seconds =
-    main_span "serve" @@ fun () ->
-    let builder_d = Domain.spawn builder in
-    let spawned = Array.init domains (fun w -> Domain.spawn (worker w)) in
-    Array.iter Domain.join spawned;
-    (* Readers gone: release an adaptive builder from its keep-alive
-       loop (a no-op flag for non-adaptive runs, whose builder exited
-       when the update stream drained). *)
-    Atomic.set readers_done true;
-    Domain.join builder_d;
-    Unix.gettimeofday () -. t0
-  in
-  let serve_wall_ns = Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) serve_t0_ns) in
-  (match setup with
-  | None -> ()
-  | Some (_, _, (main_shard, pids, _), _) ->
-    Array.iter
-      (fun ph ->
-        ph.ph_idle_ns <- max 0 (serve_wall_ns - ph.ph_wall_ns);
-        Metrics.incr main_shard pids.p_idle_c ph.ph_idle_ns)
-      phases;
-    match monitor with
-    | Some m ->
-      Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-    | None -> ());
-  (match monitor_domain with
-  | None -> ()
-  | Some d ->
-    Atomic.set monitor_stop true;
-    Domain.join d;
-    ignore (Monitor.tick (Option.get monitor) : Window.entry));
-  main_span "merge" @@ fun () ->
-  (* Every reader is quiescent now, so the remainder of the retired list
-     reclaims here (the orchestrator has taken over the builder role). *)
-  ignore (Epoch.try_reclaim epoch : int);
-  let snap = Epoch.current epoch in
-  let counts = Epoch.snapshot_counts snap in
-  let total_probes = Array.fold_left (fun acc r -> acc + Epoch.reader_probes r) 0 readers in
-  let hottest_cell = ref 0 in
-  Array.iteri (fun j c -> if c > counts.(!hottest_cell) then hottest_cell := j) counts;
-  let hottest_count = if Array.length counts = 0 then 0 else counts.(!hottest_cell) in
-  let space = Epoch.space snap in
-  let result =
-    {
-      name = "lc-dyn";
-      domains;
-      queries = total_queries;
-      seconds;
-      throughput =
-        (if seconds > 0.0 then float_of_int total_queries /. seconds else Float.infinity);
-      total_probes;
-      counts;
-      hottest_cell = !hottest_cell;
-      hottest_count;
-      hottest_share =
-        (if total_probes = 0 then 0.0
-         else float_of_int hottest_count /. float_of_int total_probes);
-      flat_bound =
-        (if space = 0 then 0.0
-         else
-           float_of_int total_queries
-           *. float_of_int (Epoch.max_probes snap)
-           /. float_of_int space);
-    }
-  in
   let inner = Epoch.inner epoch in
-  let updates_stats =
-    {
-      inserts = !b_inserts;
-      deletes = !b_deletes;
-      query_hits = Array.fold_left ( + ) 0 hits;
-      publications = Epoch.publications epoch;
-      reclaimed = Epoch.reclaimed epoch;
-      retired_pending = Epoch.retired_pending epoch;
-      keys_rebuilt = Lc_dynamic.Dynamic.keys_rebuilt inner;
-      purges = Lc_dynamic.Dynamic.purges inner;
-      final_live = Epoch.live snap;
-      final_epoch = Epoch.epoch snap;
-      cells_written = Lc_dynamic.Dynamic.cells_written inner - cells0;
-      rebuilds = Lc_dynamic.Dynamic.rebuilds inner - rebuilds0;
-      rebuild_ns = Lc_dynamic.Dynamic.rebuild_ns inner - rebuild_ns0;
-      publish_ns = Epoch.publish_ns_total epoch - publish_ns0;
-      write_amp =
-        (if !b_inserts > 0 then
-           float_of_int (Lc_dynamic.Dynamic.cells_written inner - cells0)
-           /. float_of_int !b_inserts
-         else 0.0);
-      builder_ns = !b_ns;
-      reclaim_lag_max = Epoch.reclaim_lag_max epoch;
-    }
-  in
-  monitored_outcome ~updates:updates_stats
-    ?phases:(match setup with None -> None | Some _ -> Some phases)
-    result monitor
+  let cells0 = Dynamic.cells_written inner in
+  let rebuilds0 = Dynamic.rebuilds inner in
+  let rebuild_ns0 = Dynamic.rebuild_ns inner in
+  let publish_ns0 = Epoch.publish_ns_total epoch in
+  serve ~domains ~tier
+    ~sample:(fun () -> query_batches)
+    ~reader:(fun w wo ->
+      let r = readers.(w) in
+      let query =
+        match wo with
+        | None -> Epoch.mem epoch r
+        | Some wo ->
+          (* The observe hook feeds every probed cell (snapshot-global
+             id) into the worker-private sketch, like the static probe. *)
+          Option.iter (fun s -> Epoch.set_observe r (Heavy.observe s)) wo.sketch;
+          Epoch.mem_phased epoch r
+      in
+      {
+        query;
+        probes = (fun () -> Epoch.reader_probes r);
+        pin_ns = (fun () -> Epoch.reader_pin_ns r);
+      })
+    ~builder:(dynamic_builder epoch ~updates ~publish_every ~adaptive:(Option.is_some controller))
+    ~merge:(fun ~hits built ->
+      let inserts, deletes, builder_ns = Option.get built in
+      (* Every reader is quiescent now, so the remainder of the retired
+         list reclaims here (the orchestrator has taken over the builder
+         role), and the readers' sketch hooks can be detached. *)
+      ignore (Epoch.try_reclaim epoch : int);
+      Array.iter Epoch.clear_observe readers;
+      let snap = Epoch.current epoch in
+      let cells_written = Dynamic.cells_written inner - cells0 in
+      ( {
+          t_name = "lc-dyn";
+          t_counts = Epoch.snapshot_counts snap;
+          t_probes = Array.fold_left (fun acc r -> acc + Epoch.reader_probes r) 0 readers;
+          t_max_probes = Epoch.max_probes snap;
+        },
+        Some
+          {
+            inserts;
+            deletes;
+            query_hits = Array.fold_left ( + ) 0 hits;
+            publications = Epoch.publications epoch;
+            reclaimed = Epoch.reclaimed epoch;
+            retired_pending = Epoch.retired_pending epoch;
+            keys_rebuilt = Dynamic.keys_rebuilt inner;
+            purges = Dynamic.purges inner;
+            final_live = Epoch.live snap;
+            final_epoch = Epoch.epoch snap;
+            cells_written;
+            rebuilds = Dynamic.rebuilds inner - rebuilds0;
+            rebuild_ns = Dynamic.rebuild_ns inner - rebuild_ns0;
+            publish_ns = Epoch.publish_ns_total epoch - publish_ns0;
+            write_amp =
+              (if inserts > 0 then float_of_int cells_written /. float_of_int inserts else 0.0);
+            builder_ns;
+            reclaim_lag_max = Epoch.reclaim_lag_max epoch;
+          } ))
+    ()
 
 let run (cfg : Config.t) workload =
+  let { Config.domains; seed; cost; _ } = cfg in
+  let tier = Config.tier cfg in
+  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
+  (match tier with
+  | Monitored m when m.Monitor.domains <> domains ->
+    invalid_arg
+      (Printf.sprintf "Engine.run: monitor was created for %d domains, run got %d"
+         m.Monitor.domains domains)
+  | _ -> ());
   match workload with
   | Static { inst; qdist; queries_per_domain } ->
-    let result, phases =
-      serve_internal ~cost:cfg.Config.cost ?obs:cfg.Config.obs ?monitor:cfg.Config.monitor
-        ~domains:cfg.Config.domains ~queries_per_domain ~seed:cfg.Config.seed inst qdist
-    in
-    monitored_outcome ?phases result cfg.Config.monitor
-  | Dynamic { epoch; ops; publish_every } -> serve_dynamic cfg ~epoch ~ops ~publish_every
+    run_static ~tier ~cost ~domains ~seed inst qdist ~queries_per_domain
+  | Dynamic { epoch; ops; publish_every } ->
+    run_dynamic ~tier ~cost ~domains ~seed epoch ~ops ~publish_every
 
 let hotspot_ratio r = float_of_int r.hottest_count /. r.flat_bound
 
@@ -1779,14 +1613,17 @@ let answer_all ?(domains = 2) ~seed inst ~queries =
      so the only shared mutable state is the (read-only) table cells. *)
   let worker w () =
     let rng = Rng.create (seed + (7919 * w)) in
-    let i = ref w in
-    while !i < n do
-      out.(!i) <- D.mem ~probe rng queries.(!i);
-      i := !i + domains
-    done
+    let answer i =
+      let a = D.mem ~probe rng queries.(i) in
+      out.(i) <- a;
+      a
+    in
+    let mine = Array.init ((n - w + domains - 1) / domains) (fun k -> w + (k * domains)) in
+    ignore (bare_loop answer mine : int)
   in
-  let spawned = Array.init domains (fun w -> Domain.spawn (worker w)) in
-  Array.iter Domain.join spawned;
+  let failure = ref None in
+  ignore (run_workers failure domains worker : unit option array);
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   out
 
 let count_histogram r = histogram_of_counts r.counts

@@ -307,7 +307,8 @@ module Config : sig
             timelines, so telemetry adds no shared mutable state to
             the hot path. Absent = telemetry-free serving. *)
     monitor : Monitor.t option;
-        (** Live monitoring; its handle supersedes [obs] when present. *)
+        (** Live monitoring; its handle supersedes [obs] when present, so
+            [obs] must then be absent or [Monitor.obs monitor]. *)
   }
 
   val make :
@@ -318,7 +319,10 @@ module Config : sig
     seed:int ->
     unit ->
     t
-  (** [cost] defaults to {!Free}; [obs] and [monitor] to absent. *)
+  (** [cost] defaults to {!Free}; [obs] and [monitor] to absent. Raises
+      [Invalid_argument] when both [obs] and [monitor] are given and
+      [obs] is not [Monitor.obs monitor] — it would be silently
+      dropped. *)
 end
 
 type workload =
@@ -413,8 +417,13 @@ val run : Config.t -> workload -> outcome
     (Dynamic ...)] is the epoch-published read-write mode, with online
     re-replication when the config's monitor carries an attached
     controller. Raises [Invalid_argument] on a monitor sized for a
-    different domain count, and for {!Dynamic} with a [Spinlock]
-    cost. *)
+    different domain count, on an [obs] that is not the monitor's own
+    handle, and for {!Dynamic} with a [Spinlock] cost.
+
+    When a worker or the builder raises mid-run, [run] still joins
+    every domain it spawned (releasing an adaptive builder and stopping
+    the monitor domain, which cuts no further window) and then re-raises
+    the first exception with its original backtrace. *)
 
 val probe_sample_period : int
 (** The engine samples 1 probe in this many for

@@ -415,6 +415,144 @@ let test_build_failed_diagnostics () =
       (stage = "P(S) rejection sampling");
     checkb "detail is populated" true (String.length detail > 0)
 
+(* Fault containment: a worker that raises mid-run under a monitor must
+   not leak domains or leave the monitor ticking. [Engine.run] re-raises
+   the worker's own exception only after every domain has joined, so the
+   window count is frozen from the moment it returns. *)
+let windows_frozen_after_raise ~what mon run =
+  (match run () with
+  | (_ : Engine.outcome) -> Alcotest.failf "%s: the run should have raised" what
+  | exception Invalid_argument msg ->
+    checkb (Printf.sprintf "%s: original exception re-raised (%s)" what msg) true
+      (String.ends_with ~suffix:"key outside universe" msg));
+  let window = Engine.Monitor.window mon in
+  let before = Lc_obs.Window.total_windows window in
+  Unix.sleepf 0.3;
+  checki (what ^ ": no window cut after the raise") before
+    (Lc_obs.Window.total_windows window)
+
+let test_static_worker_raise_contained () =
+  let _, _, inst = lc_fixture 31 in
+  let domains = 2 in
+  let mon = Engine.Monitor.create ~interval_s:0.02 ~domains inst in
+  let cfg = Engine.Config.make ~monitor:mon ~domains ~seed:32 () in
+  windows_frozen_after_raise ~what:"static" mon (fun () ->
+      Engine.run cfg
+        (Engine.Static { inst; qdist = Qdist.point universe; queries_per_domain = 50 }))
+
+let test_dynamic_reader_raise_contained () =
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let rng = Rng.create 33 in
+  let keys = Keyset.random rng ~universe ~n in
+  let epoch = Epoch.create rng ~universe () in
+  Array.iter (Epoch.insert epoch) keys;
+  Epoch.publish epoch;
+  let snap = Epoch.current epoch in
+  let domains = 2 in
+  let ops =
+    Array.concat
+      [
+        Array.map (fun k -> Opstream.Query k) keys;
+        [| Opstream.Insert ((keys.(0) + 1) mod universe); Opstream.Query universe |];
+        Array.map (fun k -> Opstream.Delete k) (Array.sub keys 0 8);
+      ]
+  in
+  let mon =
+    Engine.Monitor.create_for ~interval_s:0.02 ~domains ~space:(Epoch.space snap)
+      ~max_probes:(Epoch.max_probes snap) ()
+  in
+  let cfg = Engine.Config.make ~monitor:mon ~domains ~seed:34 () in
+  windows_frozen_after_raise ~what:"dynamic" mon (fun () ->
+      Engine.run cfg (Engine.Dynamic { epoch; ops; publish_every = 4 }))
+
+(* A monitor carries its own obs handle: passing a different one next to
+   it would be silently dropped, so Config rejects the combination, and
+   accepts the monitor's own handle. *)
+let test_config_rejects_foreign_obs () =
+  let _, _, inst = lc_fixture 35 in
+  let mon = Engine.Monitor.create ~domains:1 inst in
+  checkb "foreign obs next to a monitor is rejected" true
+    (match
+       Engine.Config.make ~obs:(Lc_obs.Obs.create ()) ~monitor:mon ~domains:1 ~seed:1 ()
+     with
+    | (_ : Engine.Config.t) -> false
+    | exception Invalid_argument _ -> true);
+  let cfg = Engine.Config.make ~obs:(Engine.Monitor.obs mon) ~monitor:mon ~domains:1 ~seed:1 () in
+  checkb "the monitor's own obs is accepted" true (cfg.Engine.Config.monitor <> None)
+
+(* Cross-tier equivalence: bare, obs and monitored runs of one seed serve
+   the same queries with the same per-domain rngs, so the whole result
+   agrees once the wall-clock fields are normalised. *)
+let test_static_tiers_agree () =
+  let _, keys, inst = lc_fixture 36 in
+  let qdist = Qdist.uniform ~name:"pos" keys in
+  let domains = 2 in
+  let run cfg =
+    let o = Engine.run cfg (Engine.Static { inst; qdist; queries_per_domain = 400 }) in
+    let r = o.Engine.result in
+    checki "total_probes = sum of counts" r.Engine.total_probes
+      (Array.fold_left ( + ) 0 r.Engine.counts);
+    { r with Engine.seconds = 0.0; throughput = 0.0 }
+  in
+  let bare = run (Engine.Config.make ~domains ~seed:37 ()) in
+  let obs = run (Engine.Config.make ~obs:(Lc_obs.Obs.create ()) ~domains ~seed:37 ()) in
+  let mon =
+    run
+      (Engine.Config.make ~monitor:(Engine.Monitor.create ~interval_s:0.02 ~domains inst) ~domains
+         ~seed:37 ())
+  in
+  checkb "obs result = bare result" true (obs = bare);
+  checkb "monitored result = bare result" true (mon = bare)
+
+(* Dynamic runs race the builder against the readers, so only the
+   stream-determined fields must agree across tiers: query count and the
+   builder's update statistics. The probe total must account for every
+   probe, including those on levels retired mid-run. *)
+let test_dynamic_tiers_agree () =
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let domains = 2 in
+  let run tier =
+    let rng = Rng.create 38 in
+    let keys = Keyset.random rng ~universe ~n in
+    let epoch = Epoch.create rng ~universe () in
+    Array.iter (Epoch.insert epoch) keys;
+    Epoch.publish epoch;
+    let snap = Epoch.current epoch in
+    let ops =
+      Opstream.generate
+        ~mix:(Opstream.read_write_mix ~read_fraction:0.5)
+        ~initial_pool:keys rng ~universe ~length:(domains * 400) ~working_set:(2 * n)
+    in
+    let cfg =
+      match tier with
+      | `Bare -> Engine.Config.make ~domains ~seed:39 ()
+      | `Obs -> Engine.Config.make ~obs:(Lc_obs.Obs.create ()) ~domains ~seed:39 ()
+      | `Monitored ->
+        let mon =
+          Engine.Monitor.create_for ~interval_s:0.02 ~domains ~space:(Epoch.space snap)
+            ~max_probes:(Epoch.max_probes snap) ()
+        in
+        Engine.Config.make ~monitor:mon ~domains ~seed:39 ()
+    in
+    let o = Engine.run cfg (Engine.Dynamic { epoch; ops; publish_every = 16 }) in
+    let r = o.Engine.result in
+    checki "total_probes = every reader probe" (Epoch.total_probes epoch) r.Engine.total_probes;
+    checkb "final-snapshot tallies within the total" true
+      (Array.fold_left ( + ) 0 r.Engine.counts <= r.Engine.total_probes);
+    let u = Option.get o.Engine.updates in
+    ( r.Engine.queries,
+      [
+        u.Engine.inserts; u.Engine.deletes; u.Engine.publications; u.Engine.final_live;
+        u.Engine.final_epoch; u.Engine.cells_written; u.Engine.rebuilds; u.Engine.keys_rebuilt;
+        u.Engine.purges;
+      ] )
+  in
+  let bare = run `Bare in
+  checkb "obs agrees with bare" true (run `Obs = bare);
+  checkb "monitored agrees with bare" true (run `Monitored = bare)
+
 let () =
   Alcotest.run "lc_parallel"
     [
@@ -450,5 +588,19 @@ let () =
           Alcotest.test_case "Build_failed diagnostics" `Quick test_build_failed_diagnostics;
           Alcotest.test_case "dynamic serving reconciles" `Quick
             test_dynamic_serving_reconciles;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "static worker raise joins all domains" `Quick
+            test_static_worker_raise_contained;
+          Alcotest.test_case "dynamic reader raise joins all domains" `Quick
+            test_dynamic_reader_raise_contained;
+          Alcotest.test_case "config rejects a foreign obs" `Quick
+            test_config_rejects_foreign_obs;
+        ] );
+      ( "tiers",
+        [
+          Alcotest.test_case "static tiers agree" `Quick test_static_tiers_agree;
+          Alcotest.test_case "dynamic tiers agree" `Quick test_dynamic_tiers_agree;
         ] );
     ]
