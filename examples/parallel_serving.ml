@@ -6,7 +6,7 @@
    atomic counters. This demo goes the rest of the way: the engine in
    [Lc_parallel.Engine] runs the *actual query algorithm* — the same
    [Dict_intf.S] core the sequential experiments use — from m domains at
-   once, counting every probe with a per-cell fetch-and-add. A second
+   once, counting every probe in its domain's own per-cell tally. A second
    pass turns on the per-cell spinlock cost model, so probes that land
    on the same cell genuinely serialise the way a contended cache line
    does: now the hot-spot column is paid for in wall-clock time, and the
@@ -59,7 +59,7 @@ let () =
     ]
   in
   let qdist = Qdist.uniform ~name:"uniform-positive" keys in
-  run_pass ~cost:Engine.Free ~label:"free probes (atomic counting only)" arms qdist;
+  run_pass ~cost:Engine.Free ~label:"free probes (counting only)" arms qdist;
   run_pass
     ~cost:(Engine.Spinlock { hold = 8 })
     ~label:"spinlock cost model (hold = 8): same-cell probes serialise" arms qdist;

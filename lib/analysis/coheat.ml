@@ -1,8 +1,9 @@
 (* Cache-line co-heat: how much of the probe traffic lands on cells that
-   share a cache line with *other* hot cells. Per-cell tallies are boxed
-   [Atomic.t] words, so [line_cells] consecutive cell counters share a
-   64-byte line (8 words by default); when two domains hammer distinct
-   cells of the same line every increment ping-pongs the line between
+   share a cache line with *other* hot cells. Cells, and the per-cell
+   probe tallies that index them, are one word each, so [line_cells]
+   consecutive cells share a 64-byte line (8 words by default); when two
+   domains write distinct cells of the same line (per-cell spinlocks,
+   any shared per-cell counter) every write ping-pongs the line between
    cores even though the cells never logically conflict — classic false
    sharing, invisible in the per-cell histogram.
 

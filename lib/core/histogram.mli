@@ -7,8 +7,9 @@
     bits, hence in [rho] cells of [cell_bits] bits.
 
     The query algorithm reads the [rho] words (one probe each, from a
-    random replica), decodes the loads, and computes the prefix sums of
-    {e squared} loads to locate its bucket's slot range inside the
+    random replica) and folds each into a {!scan} as it arrives: the
+    scan validates every run and accumulates the prefix sum of
+    {e squared} loads that locates the query's bucket inside the
     group. *)
 
 val encode : Params.t -> loads:int array -> int array
@@ -18,12 +19,35 @@ val encode : Params.t -> loads:int array -> int array
     histogram budget — the builder only calls this after [P(S)] holds, so
     that would be a logic error. *)
 
-val decode : Params.t -> int array -> int array
-(** [decode p words] recovers the [g_per_group] loads. Raises
-    [Invalid_argument] on a malformed (e.g. corrupted) histogram. *)
+type scan = private int
+(** The state of one left-to-right histogram scan for one bucket [k]:
+    runs decoded so far, the run under way, and bucket [k]'s load and
+    slot offset once known. An immediate int, so scanning allocates
+    nothing. *)
 
-val slot_range : Params.t -> loads:int array -> k:int -> int * int
-(** [slot_range p ~loads ~k] is the paper's [(i_h(x), i'_h(x))] pair
-    relative to the group base address: the offset of bucket [k]'s slot
-    block within its group ([sum_{k' < k} loads(k')^2]) and its length
-    [loads(k)^2] (0 for an empty bucket). *)
+val scan_start : scan
+(** The state before the first word. *)
+
+val scan_word : Params.t -> k:int -> scan -> int -> scan
+(** [scan_word p ~k st w] folds the next histogram word [w] (words in
+    order [0 .. rho-1]) into the scan for bucket [k]. Raises
+    [Invalid_argument] when [k] is outside [0, g_per_group) or a run
+    grows beyond [cap_group]. *)
+
+val finish : Params.t -> scan -> scan
+(** [finish p st] is [st] once all [rho] words are scanned; raises
+    [Invalid_argument] if fewer than [g_per_group] runs terminated. *)
+
+val load : scan -> int
+(** [load st] is bucket [k]'s load on a finished scan: its slot block
+    holds [load st * load st] cells (none for an empty bucket). *)
+
+val offset : scan -> int
+(** [offset st] is the paper's [i_h(x)] relative to the group base
+    address on a finished scan: [sum_{k' < k} loads(k')^2], the start of
+    bucket [k]'s slot block within its group. *)
+
+val decode : Params.t -> int array -> int array
+(** [decode p words] recovers the [g_per_group] loads, one scan per
+    bucket. Raises [Invalid_argument] on a malformed (e.g. corrupted)
+    histogram, exactly when a query's scan would. *)

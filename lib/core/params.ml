@@ -47,6 +47,10 @@ let make ?(d = 3) ?(delta = 0.5) ?(c = default_c) ?(alpha = 2.0) ?(beta = 2) ~un
   let g_per_group = s / m in
   let cap_g = int_of_float (Float.ceil (c *. fn /. float_of_int r)) in
   let cap_group = int_of_float (Float.ceil (c *. fn /. float_of_int m)) in
+  (* The query's histogram scan packs its counters into 12-bit fields
+     (see Histogram.scan); the defaults stay far below this. *)
+  if g_per_group >= 4096 || cap_group >= 4096 then
+    invalid_arg "Params.make: groups too large for the histogram scan (alpha too big?)";
   (* A group histogram encodes g_per_group unary runs totalling at most
      cap_group ones, so it needs cap_group + g_per_group bits. *)
   let addr_bits = Table.bits_for s in

@@ -141,23 +141,19 @@ let build_planted ?(replicate = true) rng ~universe ~n ~heavy =
   let structure = assemble ~replicate ~universe ~p ~k_top ~top_trials:1 all in
   (structure, all)
 
+(* Four fixed steps: the top-level parameter (a random replica), the
+   bucket header, the bucket's perfect-hash word, the slot. *)
 let mem_probe t ~(probe : Dict_intf.probe) rng x =
   if x < 0 || x >= t.p then invalid_arg "Fks.mem: key outside universe";
-  let step = ref 0 in
-  let probe j =
-    let v = probe ~step:!step j in
-    incr step;
-    v
-  in
-  let k_top = probe (Rng.int rng t.copies) in
+  let k_top = probe ~step:0 (Rng.int rng t.copies) in
   let i = Modarith.mul t.p k_top x mod t.nb in
-  let header = probe (header_off t i) in
+  let header = probe ~step:1 (header_off t i) in
   let off = header / t.load_base and l = header mod t.load_base in
   if l = 0 then false
   else begin
-    let ki = probe (kparam_off t i) in
+    let ki = probe ~step:2 (kparam_off t i) in
     let slot = Modarith.mul t.p ki x mod (l * l) in
-    probe (off + slot) = x
+    probe ~step:3 (off + slot) = x
   end
 
 let spec t x =

@@ -281,7 +281,7 @@ let register_update_metrics (o : Lc_obs.Obs.t) =
   }
 
 (* Shared by [count_histogram] (exact, post-run) and the live
-   /cells.json route (exact mid-run, from the per-cell atomics). *)
+   /cells.json route (summed over the per-domain tallies). *)
 let histogram_of_counts counts =
   let max_count = Array.fold_left max 0 counts in
   (* 0 -> bucket 0; otherwise 1 + floor(log2 c). *)
@@ -310,7 +310,9 @@ module Monitor = struct
     (* Alert edge detector for the journal / on_alert hook; owned by the
        monitor domain (ticks are serialised). *)
     mutable alert_was_firing : bool;
-    mutable live_counts : int Atomic.t array option;
+    (* The static run's per-domain probe tallies (one array per worker,
+       [[||]] until that worker has allocated it), summed on each scrape. *)
+    mutable live_counts : int array array option;
     (* The replication controller, when this run is adaptive: attached
        before serving starts, driven by [tick] (the monitor domain is
        the controller domain), scraped by /control.json. *)
@@ -514,10 +516,21 @@ module Monitor = struct
           ("hottest_line_share", J.Float ch.Coheat.hottest_line_share);
         ]
 
+  (* Per-cell totals over the per-domain tallies. Racy by design: each
+     tally has one writer, so a mid-run scrape sees every cell complete,
+     at most a few increments stale; after the run the tallies are
+     quiescent and the sum is exact. *)
   let live_count_values t =
     match t.live_counts with
     | None -> None
-    | Some counters -> Some (Array.map Atomic.get counters)
+    | Some tallies ->
+      let space = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 tallies in
+      if space = 0 then None
+      else begin
+        let sum = Array.make space 0 in
+        Array.iter (Array.iteri (fun j c -> sum.(j) <- sum.(j) + c)) tallies;
+        Some sum
+      end
 
   let cells_body t =
     let cells = Window.live_cells t.window in
@@ -898,18 +911,20 @@ let observed_peek (wo, probes) table j =
   else Table.peek table j
 
 (* The probing discipline shared by every worker, one closure per cost
-   model: count each visit on a per-cell atomic, optionally serialising
-   visits to the same cell through a per-cell test-and-set spinlock.
-   Cell contents are only ever read ([Table.peek]); the table's own
-   mutable counters are untouched, which is what makes the query path
-   reentrant. Without [obs] this is the telemetry-free hot path; with it
-   (the worker's telemetry and its probe count) every read goes through
-   [observed_peek] and contended spinlock waits are timed. *)
-let make_probe ?obs ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
+   model: count each visit in the worker's own per-cell tally [counts]
+   (a plain array with one writer, so a plain increment), optionally
+   serialising visits to the same cell through a per-cell test-and-set
+   spinlock. Cell contents are only ever read ([Table.peek]); the
+   table's own mutable counters are untouched, which is what makes the
+   query path reentrant. Without [obs] this is the telemetry-free hot
+   path; with it (the worker's telemetry and its probe count) every read
+   goes through [observed_peek] and contended spinlock waits are
+   timed. *)
+let make_probe ?obs ~cost ~counts ~locks table : Lc_dict.Dict_intf.probe =
   match cost with
   | Free ->
     fun ~step:_ j ->
-      Atomic.incr counters.(j);
+      counts.(j) <- counts.(j) + 1;
       (match obs with None -> Table.peek table j | Some o -> observed_peek o table j)
   | Spinlock { hold } ->
     fun ~step:_ j ->
@@ -935,7 +950,7 @@ let make_probe ?obs ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
         Domain.cpu_relax ()
       done;
       Atomic.set l false;
-      Atomic.incr counters.(j);
+      counts.(j) <- counts.(j) + 1;
       v
 
 (* ------------------------------------------------------------------ *)
@@ -1334,8 +1349,10 @@ let serve ~domains ~tier ~sample ~reader ?builder ~merge () =
 let run_static ~tier ~cost ~domains ~seed inst qdist ~queries_per_domain =
   if queries_per_domain < 1 then invalid_arg "Engine.run: queries_per_domain must be >= 1";
   let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
-  let counters = Array.init D.space (fun _ -> Atomic.make 0) in
-  (match tier with Monitored m -> m.Monitor.live_counts <- Some counters | _ -> ());
+  (* One probe tally per worker, allocated (and so zero-filled) by that
+     worker on its own domain and written by it alone. *)
+  let tallies = Array.make domains [||] in
+  (match tier with Monitored m -> m.Monitor.live_counts <- Some tallies | _ -> ());
   let locks = make_locks ~cost ~space:D.space in
   serve ~domains ~tier
     (* Pre-sample each domain's query batch outside the timed section so
@@ -1345,13 +1362,25 @@ let run_static ~tier ~cost ~domains ~seed inst qdist ~queries_per_domain =
           let rng = Rng.create (seed + (7919 * (w + 1))) in
           Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng)))
     ~reader:(fun w wo ->
+      let counts = Array.make D.space 0 in
+      tallies.(w) <- counts;
       let rng = Rng.create (seed lxor (104729 * (w + 1))) in
       let probes = ref 0 in
       let obs = Option.map (fun wo -> (wo, probes)) wo in
-      let probe = make_probe ?obs ~cost ~counters ~locks D.table in
+      let probe = make_probe ?obs ~cost ~counts ~locks D.table in
       { query = D.mem ~probe rng; probes = (fun () -> !probes); pin_ns = (fun () -> 0) })
     ~merge:(fun ~hits:_ _ ->
-      let counts = Array.map Atomic.get counters in
+      (* Every worker has joined: sum the tallies into the first one in
+         place. The monitor is pointed at the merged array first, so a
+         late scrape never counts a domain twice. *)
+      let counts = tallies.(0) in
+      (match tier with Monitored m -> m.Monitor.live_counts <- Some [| counts |] | _ -> ());
+      for w = 1 to domains - 1 do
+        let mine = tallies.(w) in
+        for j = 0 to D.space - 1 do
+          counts.(j) <- counts.(j) + mine.(j)
+        done
+      done;
       ( {
           t_name = D.name;
           t_counts = counts;

@@ -6,8 +6,8 @@
     that concurrent queries would aim at each cell. This engine runs
     them: [m] OCaml 5 domains issue membership queries against one
     shared table through the reentrant {!Lc_dict.Dict_intf.S} core,
-    every probe does a fetch-and-add on a per-cell [Atomic.t] counter,
-    and an optional per-cell spinlock makes same-cell visits genuinely
+    every probe is counted in its domain's own per-cell tally, and an
+    optional per-cell spinlock makes same-cell visits genuinely
     serialise — the cost model a shared-memory multiprocessor imposes on
     a contended line. What comes out is wall-clock throughput plus the
     exact per-cell probe tally, so "contention [Theta(sqrt n)] vs
@@ -22,8 +22,9 @@
 
 type cost =
   | Free
-      (** Probes cost one fetch-and-add; contention shows up only
-          through cache-line traffic on the counters themselves. *)
+      (** Probes cost one plain increment of the domain's own tally: no
+          write is shared, so a hot cell costs no more than a cold one
+          beyond its cache line being read by every domain. *)
   | Spinlock of { hold : int }
       (** Each probe acquires a per-cell test-and-set spinlock and holds
           it for [hold] extra [Domain.cpu_relax] iterations: concurrent
@@ -39,7 +40,12 @@ type result = {
   seconds : float;  (** Wall-clock for the serving phase only. *)
   throughput : float;  (** Queries per second. *)
   total_probes : int;  (** Sum of all per-cell counters. *)
-  counts : int array;  (** Per-cell atomic probe tallies, length [space]. *)
+  counts : int array;
+      (** Per-cell probe tallies, length [space]. A static run keeps one
+          plain [int array] per worker domain ([domains * space] words):
+          each has a single writer, its own worker, so the hot path has
+          no atomics; the tallies are summed in place after the join, so
+          the totals are exact. *)
   hottest_cell : int;  (** Index of the most-probed cell. *)
   hottest_count : int;  (** Its tally — the observed hot spot. *)
   hottest_share : float;  (** [hottest_count / total_probes]. *)
@@ -65,9 +71,9 @@ type result = {
     worker's own batch wall (spawn/join skew), filled in post-join.
     Totals are also flushed once per worker into the
     [engine_phase_*_ns_total] counters, so [/metrics] and
-    [/scaling.json] carry the same numbers. Tally increments on
-    per-cell atomics happen {e inside} the dictionary's [mem], so they
-    are attributed to probe work — the probe phase is "time the hot
+    [/scaling.json] carry the same numbers. Per-cell tally increments
+    happen {e inside} the dictionary's [mem], so they are attributed to
+    probe work — the probe phase is "time the hot
     path spent where contention lives". *)
 
 type phase_stats = {
@@ -264,8 +270,10 @@ module Monitor : sig
       - [/snapshot.json] — the merged snapshot as JSON
         ({!Lc_obs.Export.json_snapshot});
       - [/cells.json] — merged top-k sketch entries with error bounds,
-        plus an exact log-bucketed per-cell count histogram read from
-        the engine's live atomics;
+        plus a log-bucketed per-cell count histogram and co-heat summary
+        summed over the static run's per-domain tallies on each scrape
+        (read racily mid-run — each cell at most a few increments stale
+        — and exact once the run has merged);
       - [/windows.json] — the window ring and alert state;
       - [/updates.json] — the update-path view, schema-versioned
         (["lowcon-updates"] v1): cumulative builder counters (null when
@@ -300,7 +308,11 @@ end
 module Config : sig
   type t = {
     domains : int;  (** Worker (reader) domains, the paper's [m]. *)
-    seed : int;  (** Seeds batch sampling and per-domain rngs. *)
+    seed : int;
+        (** Seeds batch sampling and per-domain rngs: static worker [w]
+            (from 0) draws its batch from [Rng.create (seed + 7919 (w +
+            1))] and its replicas from [Rng.create (seed lxor 104729 (w
+            + 1))], so a run can be replayed sequentially. *)
     cost : cost;  (** Probe cost model; {!Static} workloads only. *)
     obs : Lc_obs.Obs.t option;
         (** Observability handle: per-domain metric shards and span

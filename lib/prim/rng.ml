@@ -1,24 +1,37 @@
-type t = { mutable state : int64 }
+(* The 64-bit SplitMix64 state lives unboxed in 8 bytes, read and
+   written through the raw 64-bit bytes primitives. A mutable [int64]
+   field would box a fresh state on every draw; this way a draw keeps
+   the arithmetic in registers and allocates nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-(* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let copy = Bytes.copy
+
+(* SplitMix64 output function (Steele, Lea & Flood 2014). Inlined into
+   its callers so that only [next_int64] boxes its result. *)
+let[@inline] step t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let next_int64 t = step t
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let split t = of_state (step t)
+
+let bits t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,11 +40,11 @@ let int t bound =
   if bound land mask_bits = 0 then bits t land mask_bits
   else
     let limit = 0x3FFF_FFFF_FFFF_FFFF / bound * bound in
-    let rec draw () =
-      let v = bits t in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
+    let v = ref (bits t) in
+    while !v >= limit do
+      v := bits t
+    done;
+    !v mod bound
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
@@ -39,7 +52,7 @@ let int_in_range t ~lo ~hi =
 
 let float t = Stdlib.float_of_int (bits t) *. 0x1p-62
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -9,7 +9,7 @@
     every experiment and every test is reproducible from a single seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 64 bits, held unboxed. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)
@@ -29,7 +29,9 @@ val bits : t -> int
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1]. Requires [bound > 0].
-    Uses rejection sampling, so the result is exactly uniform. *)
+    Uses rejection sampling, so the result is exactly uniform. Like
+    [bits] and [bool], it allocates nothing, so it is safe on a query's
+    probe path. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform on the inclusive range [lo, hi].

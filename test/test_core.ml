@@ -158,16 +158,21 @@ let test_histogram_slot_range () =
   loads.(0) <- 2;
   loads.(1) <- 3;
   loads.(2) <- 1;
-  let off, len = Histogram.slot_range p ~loads ~k:0 in
+  let words = Histogram.encode p ~loads in
+  let slot_range k =
+    let st = Histogram.finish p (Array.fold_left (Histogram.scan_word p ~k) Histogram.scan_start words) in
+    (Histogram.offset st, Histogram.load st * Histogram.load st)
+  in
+  let off, len = slot_range 0 in
   checki "first offset" 0 off;
   checki "first length" 4 len;
-  let off, len = Histogram.slot_range p ~loads ~k:1 in
+  let off, len = slot_range 1 in
   checki "second offset" 4 off;
   checki "second length" 9 len;
-  let off, len = Histogram.slot_range p ~loads ~k:2 in
+  let off, len = slot_range 2 in
   checki "third offset" 13 off;
   checki "third length" 1 len;
-  let _, len = Histogram.slot_range p ~loads ~k:3 in
+  let _, len = slot_range 3 in
   checki "empty bucket" 0 len
 
 (* ------------------------------------------------------------------ *)
@@ -297,6 +302,30 @@ let test_query_spec_valid () =
       | Error e -> Alcotest.failf "query %d: %s" x e)
     all
 
+(* Golden probe trace: the exact (step, cell) sequence, the answers and
+   the rng state afterwards for a fixed build, query set and seed. The
+   query path may be rewritten; what it probes, in which order, and how
+   much randomness it consumes may not. *)
+let query_golden_digest = "f0ccf21a8bd3d0dc4a6ecd094953b9c6"
+
+let test_query_golden_trace () =
+  let dict, keys = build 41 256 in
+  let t = Dictionary.structure dict in
+  let negs = Keyset.negatives (Rng.create 42) ~universe ~keys ~count:256 in
+  let queries = Array.append keys negs in
+  let buf = Buffer.create 65536 in
+  let probe ~step j =
+    Buffer.add_string buf (Printf.sprintf "%d:%d," step j);
+    Table.peek t.table j
+  in
+  let rng = Rng.create 43 in
+  Array.iter
+    (fun x -> Buffer.add_string buf (if Query.mem_probe t ~probe rng x then "T;" else "F;"))
+    queries;
+  Buffer.add_string buf (Int64.to_string (Rng.next_int64 rng));
+  Alcotest.check Alcotest.string "trace digest" query_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_query_deterministic_answer () =
   (* Randomness balances probes but never changes the answer. *)
   let dict, keys = build 15 128 in
@@ -415,6 +444,70 @@ let test_histogram_crafted_overload_rejected () =
     with Invalid_argument _ -> true
   in
   checkb "over-cap load rejected" true raised
+
+(* The query scans histogram words itself, so a built dictionary with a
+   malformed histogram must make [mem] fail loudly, not just [decode].
+   [corrupt_group_histogram dict x bits] rewrites every replica of the
+   histogram of [x]'s group with the given bit string. *)
+let corrupt_group_histogram dict x bits =
+  let t = Dictionary.structure dict in
+  let p = t.params in
+  let bp = Lc_prim.Bitpack.create ~word_bits:p.cell_bits ~bits:(p.rho * p.cell_bits) in
+  List.iteri (fun i b -> Lc_prim.Bitpack.set bp i b) bits;
+  let words = Lc_prim.Bitpack.words bp in
+  let group = Structure.group_of t x in
+  for w = 0 to p.rho - 1 do
+    for j = 0 to p.s - 1 do
+      if j mod p.m = group then
+        Table.write t.table (Layout.cell p ~row:(Layout.hist_row p w) j) words.(w)
+    done
+  done
+
+let mem_raises dict x =
+  match Dictionary.mem dict (Rng.create 5) x with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_query_rejects_overcap_histogram () =
+  let dict, keys = build 47 256 in
+  let p = Dictionary.params dict in
+  let ones k = List.init k (fun _ -> true) in
+  (* One run of cap_group + 1 ones, then zeros. *)
+  corrupt_group_histogram dict keys.(0) (ones (p.cap_group + 1));
+  checkb "over-cap run rejected" true (mem_raises dict keys.(0))
+
+let test_query_rejects_unterminated_histogram () =
+  let dict, keys = build 48 256 in
+  let p = Dictionary.params dict in
+  let budget = p.rho * p.cell_bits in
+  (* g_per_group runs, none over the cap, the last one running off the
+     end of the budget: e ones, g - 1 zeros, then cap_group ones. *)
+  let e = budget - (p.g_per_group - 1) - p.cap_group in
+  checkb "fixture: first run within the cap" true (e >= 0 && e <= p.cap_group);
+  let run v k = List.init k (fun _ -> v) in
+  corrupt_group_histogram dict keys.(0)
+    (run true e @ run false (p.g_per_group - 1) @ run true p.cap_group);
+  checkb "unterminated run rejected" true (mem_raises dict keys.(0))
+
+(* The lc query allocates nothing: no closures, arrays or tuples per
+   query, and replica draws that keep the rng state unboxed. *)
+let test_query_allocation_free () =
+  let dict, keys = build 49 512 in
+  let t = Dictionary.structure dict in
+  let queries =
+    Array.append keys (Keyset.negatives (Rng.create 50) ~universe ~keys ~count:512)
+  in
+  let probe ~step:_ j = Table.peek t.table j in
+  let rng = Rng.create 51 in
+  let calls = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if Query.mem_probe t ~probe rng queries.(i mod Array.length queries) then incr hits
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb "queries answered" true (!hits > 0);
+  checkb (Printf.sprintf "under 1 word per query (%.3f)" words) true (words < 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 3: the contention guarantee                                  *)
@@ -563,6 +656,8 @@ let () =
           Alcotest.test_case "spec matches mem" `Quick test_query_spec_matches_mem;
           Alcotest.test_case "spec valid" `Quick test_query_spec_valid;
           Alcotest.test_case "answer deterministic" `Quick test_query_deterministic_answer;
+          Alcotest.test_case "golden probe trace" `Quick test_query_golden_trace;
+          Alcotest.test_case "allocation-free" `Quick test_query_allocation_free;
         ] );
       ( "verify",
         [
@@ -579,6 +674,10 @@ let () =
           Alcotest.test_case "build deterministic" `Quick test_build_deterministic_given_seed;
           Alcotest.test_case "crafted histogram overflow rejected" `Quick
             test_histogram_crafted_overload_rejected;
+          Alcotest.test_case "query rejects over-cap histogram" `Quick
+            test_query_rejects_overcap_histogram;
+          Alcotest.test_case "query rejects unterminated histogram" `Quick
+            test_query_rejects_unterminated_histogram;
         ] );
       ( "theorem3",
         [

@@ -123,6 +123,23 @@ let test_fks_probe_budget () =
   let t = Fks.build rng ~universe ~keys in
   probes_drill "fks" (Fks.instance t) keys
 
+(* The FKS query is four fixed probes and allocates nothing. *)
+let test_fks_allocation_free () =
+  let keys = build_keys 11 300 in
+  let t = Fks.build (Rng.create 56) ~universe ~keys in
+  let (module D : Lc_dict.Dict_intf.S) = Instance.core (Fks.instance t) in
+  let probe ~step:_ j = Lc_cellprobe.Table.peek D.table j in
+  let rng = Rng.create 57 in
+  let calls = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if D.mem ~probe rng (if i land 1 = 0 then keys.(i mod 300) else i) then incr hits
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb "queries answered" true (!hits >= calls / 2);
+  checkb (Printf.sprintf "under 1 word per query (%.3f)" words) true (words < 1.0)
+
 let test_fks_linear_space () =
   let keys = build_keys 9 1000 in
   let rng = Rng.create 54 in
@@ -394,6 +411,7 @@ let () =
           Alcotest.test_case "unreplicated correct" `Quick test_fks_unreplicated_correct;
           Alcotest.test_case "spec matches mem" `Quick test_fks_spec;
           Alcotest.test_case "probe budget" `Quick test_fks_probe_budget;
+          Alcotest.test_case "allocation-free" `Quick test_fks_allocation_free;
           Alcotest.test_case "linear space" `Quick test_fks_linear_space;
           Alcotest.test_case "param cell contention" `Quick test_fks_param_cell_contention;
           Alcotest.test_case "planted heavy bucket" `Quick test_fks_planted_heavy_bucket;

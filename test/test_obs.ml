@@ -1021,6 +1021,14 @@ let test_windowed_live_scrape_monotone () =
       let status, cells = http_get port "/cells.json" in
       checki "cells.json 200" 200 status;
       checkb "cells.json parses" true (Result.is_ok (Json.parse cells));
+      (* The post-run co-heat tallies are the merged result, counted once. *)
+      let coheat_total =
+        Option.bind (Result.to_option (Json.parse cells)) (Json.member "coheat")
+        |> Fun.flip Option.bind (Json.member "total_probes")
+        |> Fun.flip Option.bind Json.int_value
+      in
+      Alcotest.check Alcotest.(option int) "cells.json coheat total = result total"
+        (Some w.Engine.result.Engine.total_probes) coheat_total;
       let status, windows = http_get port "/windows.json" in
       checki "windows.json 200" 200 status;
       checkb "windows.json parses" true (Result.is_ok (Json.parse windows)))

@@ -195,6 +195,35 @@ let test_spinlock_same_tallies () =
   in
   checki "same total probes under spinlock" free.Engine.total_probes locked.Engine.total_probes
 
+(* Per-domain tallies are exact: a 2-domain static run's per-cell counts
+   equal the sum of each worker's sequential instrumented replay — the
+   same batch (sampled from [seed + 7919 (w + 1)]) answered with the
+   same replica stream ([seed lxor 104729 (w + 1)]) — under both cost
+   models. Any lost or doubled increment shows up cell by cell. *)
+let test_tallies_equal_sequential_replay () =
+  let rng, keys, inst = lc_fixture 16 in
+  let negs = Keyset.negatives rng ~universe ~keys ~count:n in
+  let qd = Qdist.pos_neg ~pos:keys ~neg:negs ~p_pos:0.5 in
+  let domains = 2 and queries_per_domain = 500 and seed = 17 in
+  let seq = Instance.instrumented inst in
+  Table.reset_counters seq.Instance.table;
+  for w = 0 to domains - 1 do
+    let batch_rng = Rng.create (seed + (7919 * (w + 1))) in
+    let batch = Array.init queries_per_domain (fun _ -> Qdist.sample qd batch_rng) in
+    let replica_rng = Rng.create (seed lxor (104729 * (w + 1))) in
+    Array.iter (fun x -> ignore (seq.Instance.mem replica_rng x : bool)) batch
+  done;
+  let expected = Array.init seq.Instance.space (Table.probes seq.Instance.table) in
+  Table.reset_counters seq.Instance.table;
+  List.iter
+    (fun (label, cost) ->
+      let r = serve ~cost ~domains ~queries_per_domain ~seed inst qd in
+      Alcotest.check (Alcotest.array Alcotest.int)
+        (label ^ ": counts = sum of per-domain replays") expected r.Engine.counts;
+      checki (label ^ ": total = replay total") (Array.fold_left ( + ) 0 expected)
+        r.Engine.total_probes)
+    [ ("free", Engine.Free); ("spinlock", Engine.Spinlock { hold = 2 }) ]
+
 (* Crafted result records exercising the summarisers directly:
    count_histogram's log buckets must break exactly at powers of two,
    report untouched cells in the (0, k) bucket, and skip empty buckets;
@@ -561,6 +590,8 @@ let () =
           Alcotest.test_case "storm agreement" `Quick test_storm_agreement;
           Alcotest.test_case "hotspot separation" `Quick test_hotspot_separation;
           Alcotest.test_case "spinlock same tallies" `Quick test_spinlock_same_tallies;
+          Alcotest.test_case "tallies = sequential replay" `Quick
+            test_tallies_equal_sequential_replay;
           Alcotest.test_case "count_histogram buckets" `Quick test_count_histogram_buckets;
           Alcotest.test_case "top_cells" `Quick test_top_cells;
         ] );

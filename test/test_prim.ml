@@ -46,6 +46,40 @@ let test_rng_split_diverges () =
   done;
   checkb "split streams differ" true (!same < 4)
 
+(* Golden SplitMix64 streams: the first outputs of a fixed seed and of a
+   split of it. The generator's representation may change; its stream
+   may not, or every seeded experiment and tally moves with it. *)
+let rng_golden_create_42 =
+  [
+    -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L;
+    701532786141963250L; -2430762948046562554L; 4028864712777624925L; -3677692746721775708L;
+  ]
+let rng_golden_split_42 =
+  [
+    6332618229526065668L; -816328817471504299L; 8971565426155258802L; 1242533817266198696L;
+    -5959852680200513735L; 1245346008178237623L; 3603600226484403572L; -4893543810735773810L;
+  ]
+
+let test_rng_golden_stream () =
+  let first8 rng = List.init 8 (fun _ -> Rng.next_int64 rng) in
+  check (Alcotest.list Alcotest.int64) "create 42" rng_golden_create_42 (first8 (Rng.create 42));
+  check (Alcotest.list Alcotest.int64) "split of create 42" rng_golden_split_42
+    (first8 (Rng.split (Rng.create 42)))
+
+(* Replica draws sit on every query's probe path: [Rng.int] on a bound
+   that needs rejection sampling must not allocate. *)
+let test_rng_int_allocation_free () =
+  let rng = Rng.create 9 in
+  let calls = 10_000 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    sum := !sum + Rng.int rng 1_000_003
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb "draws happened" true (!sum > 0);
+  checkb (Printf.sprintf "under 1 word per call (%.3f)" words) true (words < 1.0)
+
 let test_rng_int_bounds () =
   let rng = Rng.create 5 in
   for bound = 1 to 50 do
@@ -380,6 +414,8 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "int allocation-free" `Quick test_rng_int_allocation_free;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects nonpositive" `Quick test_rng_int_rejects_nonpositive;
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
