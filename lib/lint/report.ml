@@ -10,7 +10,7 @@
    findings, 2 = usage or parse error. Parse errors dominate findings:
    a tree the linter cannot read is not a tree it can vouch for. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 
 let schema_name = "lowcon-lint"
 let schema_version = 2
@@ -50,212 +50,119 @@ let exit_code r =
   if r.parse_errors <> [] then 2 else if active r <> [] then 1 else 0
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding                                                       *)
+(* The lowcon-lint description (to_json, of_json and validate)         *)
 (* ------------------------------------------------------------------ *)
 
-let annotated_to_json a =
-  let f = a.finding in
-  let base =
-    [
-      ("rule", Json.String (Rule.id f.Finding.rule));
-      ("file", Json.String f.Finding.file);
-      ("line", Json.Int f.Finding.line);
-      ("col", Json.Int f.Finding.col);
-      ("context", Json.String f.Finding.context);
-      ("message", Json.String f.Finding.message);
-    ]
-    @ (match f.Finding.words with None -> [] | Some w -> [ ("words", Json.Int w) ])
-  in
-  let supp =
-    match a.suppressed with
-    | None -> [ ("suppressed", Json.Bool false) ]
-    | Some s ->
+let rule_codec = Codec.enum (List.map (fun r -> (Rule.id r, r)) Rule.all)
+
+let suppression_codec =
+  Codec.record
+    (fun justification entry_line expires -> { justification; expires; entry_line })
+    Codec.
       [
-        ("suppressed", Json.Bool true);
-        ( "suppression",
-          Json.Obj
-            ([
-               ("justification", Json.String s.justification);
-               ("entry_line", Json.Int s.entry_line);
-             ]
-            @
-            match s.expires with
-            | None -> []
-            | Some d -> [ ("expires", Json.String d) ]) );
+        req "justification" string (fun s -> s.justification);
+        req "entry_line" int (fun s -> s.entry_line);
+        opt "expires" string (fun s -> s.expires);
       ]
-  in
-  Json.Obj (base @ supp)
 
-let to_json r =
-  let rule_to_json rule =
-    Json.Obj
+let annotated_codec =
+  Codec.record
+    (fun rule file line col context message words flag suppressed ->
+      if flag <> (suppressed <> None) then
+        Codec.fail "\"suppressed\" disagrees with \"suppression\"";
+      { finding = { Finding.rule; file; line; col; context; message; words }; suppressed })
+    Codec.
       [
-        ("id", Json.String (Rule.id rule));
-        ("title", Json.String (Rule.title rule));
-        ("intent", Json.String (Rule.intent rule));
+        req "rule" rule_codec (fun a -> a.finding.Finding.rule);
+        req "file" string (fun a -> a.finding.Finding.file);
+        req "line" int (fun a -> a.finding.Finding.line);
+        req "col" int (fun a -> a.finding.Finding.col);
+        req "context" string (fun a -> a.finding.Finding.context);
+        req "message" string (fun a -> a.finding.Finding.message);
+        opt "words" int (fun a -> a.finding.Finding.words);
+        req "suppressed" bool (fun a -> a.suppressed <> None);
+        opt "suppression" suppression_codec (fun a -> a.suppressed);
       ]
-  in
-  let pe_to_json pe =
-    Json.Obj
+
+let rule_info_codec =
+  Codec.record
+    (fun rule _title _intent -> rule)
+    Codec.
+      [ req "id" rule_codec Fun.id; req "title" string Rule.title; req "intent" string Rule.intent ]
+
+let parse_error_codec =
+  Codec.record
+    (fun pe_file pe_line pe_col pe_message -> { pe_file; pe_line; pe_col; pe_message })
+    Codec.
       [
-        ("file", Json.String pe.pe_file);
-        ("line", Json.Int pe.pe_line);
-        ("col", Json.Int pe.pe_col);
-        ("message", Json.String pe.pe_message);
+        req "file" string (fun pe -> pe.pe_file);
+        req "line" int (fun pe -> pe.pe_line);
+        req "col" int (fun pe -> pe.pe_col);
+        req "message" string (fun pe -> pe.pe_message);
       ]
-  in
-  let unused_to_json (text, line) =
-    Json.Obj [ ("entry", Json.String text); ("line", Json.Int line) ]
-  in
-  Json.Obj
-    ([
-       ("schema", Json.String schema_name);
-       ("version", Json.Int schema_version);
-       ("root", Json.String r.root);
-       ("files_scanned", Json.Int r.files_scanned);
-       ("rules", Json.List (List.map rule_to_json r.rules));
-       ("findings", Json.List (List.map annotated_to_json r.results));
-       ("parse_errors", Json.List (List.map pe_to_json r.parse_errors));
-       ( "summary",
-         Json.Obj
-           [
-             ("active", Json.Int (List.length (active r)));
-             ("suppressed", Json.Int (List.length (suppressed r)));
-             ("parse_errors", Json.Int (List.length r.parse_errors));
-             ("exit_code", Json.Int (exit_code r));
-           ] );
-     ]
-    @
-    match r.baseline with
-    | None -> []
-    | Some b ->
+
+(* The summary is derived from the findings; a decoded report must agree
+   with its own recomputation. *)
+let summary_counts r =
+  (List.length (active r), List.length (suppressed r), List.length r.parse_errors, exit_code r)
+
+let summary_codec =
+  Codec.record
+    (fun a s p e -> (a, s, p, e))
+    Codec.
       [
-        ( "baseline",
-          Json.Obj
-            [
-              ("path", Json.String b.baseline_path);
-              ("entries", Json.Int b.entries);
-              ("used", Json.Int b.used);
-              ("unused", Json.List (List.map unused_to_json b.unused));
-              ("expired", Json.List (List.map unused_to_json b.expired));
-              ("untagged", Json.List (List.map unused_to_json b.untagged));
-            ] );
-      ])
+        req "active" int (fun (a, _, _, _) -> a);
+        req "suppressed" int (fun (_, s, _, _) -> s);
+        req "parse_errors" int (fun (_, _, p, _) -> p);
+        req "exit_code" int (fun (_, _, _, e) -> e);
+      ]
 
-(* ------------------------------------------------------------------ *)
-(* JSON decoding (validate round-trips through this)                   *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Option.bind
-
-let str_m k j = Option.bind (Json.member k j) Json.string_value
-let int_m k j = Option.bind (Json.member k j) Json.int_value
-let bool_m k j = Option.bind (Json.member k j) Json.bool_value
-
-let annotated_of_json j =
-  let* rule_s = str_m "rule" j in
-  let* rule = Rule.of_id rule_s in
-  let* file = str_m "file" j in
-  let* line = int_m "line" j in
-  let* col = int_m "col" j in
-  let* context = str_m "context" j in
-  let* message = str_m "message" j in
-  let* supp_flag = bool_m "suppressed" j in
-  let* suppressed =
-    if not supp_flag then Some None
-    else
-      let* s = Json.member "suppression" j in
-      let* justification = str_m "justification" s in
-      let* entry_line = int_m "entry_line" s in
-      Some (Some { justification; expires = str_m "expires" s; entry_line })
+let baseline_codec =
+  let entry_lines =
+    Codec.(list (record (fun e l -> (e, l)) [ req "entry" string fst; req "line" int snd ]))
   in
-  let f = Finding.make ~rule ~file ~line ~col ~context ~message in
-  Some { finding = { f with Finding.words = int_m "words" j }; suppressed }
+  Codec.record
+    (fun baseline_path entries used unused expired untagged ->
+      { baseline_path; entries; used; unused; expired; untagged })
+    Codec.
+      [
+        req "path" string (fun b -> b.baseline_path);
+        req "entries" int (fun b -> b.entries);
+        req "used" int (fun b -> b.used);
+        req "unused" entry_lines (fun b -> b.unused);
+        req "expired" entry_lines (fun b -> b.expired);
+        req "untagged" entry_lines (fun b -> b.untagged);
+      ]
 
-let pe_of_json j =
-  let* pe_file = str_m "file" j in
-  let* pe_line = int_m "line" j in
-  let* pe_col = int_m "col" j in
-  let* pe_message = str_m "message" j in
-  Some { pe_file; pe_line; pe_col; pe_message }
+let codec =
+  Codec.document ~schema:schema_name ~version:schema_version
+    ~describe:(fun r ->
+      let a, s, _, _ = summary_counts r in
+      Printf.sprintf "%d file(s) scanned, %d active / %d suppressed finding(s)" r.files_scanned a s)
+    (Codec.record
+       (fun root files_scanned rules results parse_errors summary baseline ->
+         let r = { root; files_scanned; rules; results; parse_errors; baseline } in
+         let a, s, p, e = summary_counts r in
+         if summary <> (a, s, p, e) then
+           Codec.fail
+             (Printf.sprintf
+                "summary disagrees with the findings, which imply active %d, suppressed %d, \
+                 parse_errors %d, exit_code %d"
+                a s p e);
+         r)
+       Codec.
+         [
+           req "root" string (fun r -> r.root);
+           req "files_scanned" int (fun r -> r.files_scanned);
+           req "rules" (list rule_info_codec) (fun r -> r.rules);
+           req "findings" (list annotated_codec) (fun r -> r.results);
+           req "parse_errors" (list parse_error_codec) (fun r -> r.parse_errors);
+           req "summary" summary_codec summary_counts;
+           opt "baseline" baseline_codec (fun r -> r.baseline);
+         ])
 
-let entry_line_of_json j =
-  let* text = str_m "entry" j in
-  let* line = int_m "line" j in
-  Some (text, line)
-
-let baseline_of_json j =
-  let* baseline_path = str_m "path" j in
-  let* entries = int_m "entries" j in
-  let* used = int_m "used" j in
-  let* unused_j = Json.member "unused" j in
-  let* expired_j = Json.member "expired" j in
-  let all_some xs = if List.exists Option.is_none xs then None else Some (List.map Option.get xs) in
-  let* untagged_j = Json.member "untagged" j in
-  let* unused = all_some (List.map entry_line_of_json (Json.to_list unused_j)) in
-  let* expired = all_some (List.map entry_line_of_json (Json.to_list expired_j)) in
-  let* untagged = all_some (List.map entry_line_of_json (Json.to_list untagged_j)) in
-  Some { baseline_path; entries; used; unused; expired; untagged }
-
-let of_json j =
-  let fail msg = Error msg in
-  match str_m "schema" j with
-  | Some s when s <> schema_name -> fail (Printf.sprintf "schema is %S, want %S" s schema_name)
-  | None -> fail "missing \"schema\" member"
-  | Some _ -> (
-    match int_m "version" j with
-    | Some v when v <> schema_version ->
-      fail (Printf.sprintf "version %d unsupported (reader knows %d)" v schema_version)
-    | None -> fail "missing \"version\" member"
-    | Some _ -> (
-      let req name = function
-        | Some v -> Ok v
-        | None -> fail (Printf.sprintf "missing or ill-typed %S" name)
-      in
-      let ( >>= ) r f = Result.bind r f in
-      req "root" (str_m "root" j) >>= fun root ->
-      req "files_scanned" (int_m "files_scanned" j) >>= fun files_scanned ->
-      req "rules" (Json.member "rules" j) >>= fun rules_j ->
-      let rules =
-        List.filter_map (fun rj -> Option.bind (str_m "id" rj) Rule.of_id)
-          (Json.to_list rules_j)
-      in
-      if List.length rules <> List.length (Json.to_list rules_j) then
-        fail "rules list contains an unknown rule id"
-      else
-        req "findings" (Json.member "findings" j) >>= fun findings_j ->
-        let results = List.map annotated_of_json (Json.to_list findings_j) in
-        if List.exists Option.is_none results then fail "malformed finding entry"
-        else
-          let results = List.map Option.get results in
-          req "parse_errors" (Json.member "parse_errors" j) >>= fun pes_j ->
-          let pes = List.map pe_of_json (Json.to_list pes_j) in
-          if List.exists Option.is_none pes then fail "malformed parse_errors entry"
-          else
-            let parse_errors = List.map Option.get pes in
-            req "summary" (Json.member "summary" j) >>= fun summary ->
-            req "summary.active" (int_m "active" summary) >>= fun s_active ->
-            req "summary.exit_code" (int_m "exit_code" summary) >>= fun s_exit ->
-            let baseline =
-              match Json.member "baseline" j with
-              | None -> Ok None
-              | Some bj -> (
-                match baseline_of_json bj with
-                | Some b -> Ok (Some b)
-                | None -> fail "malformed baseline summary")
-            in
-            baseline >>= fun baseline ->
-            let r = { root; files_scanned; rules; results; parse_errors; baseline } in
-            if List.length (active r) <> s_active then
-              fail
-                (Printf.sprintf "summary.active is %d but findings list %d unsuppressed"
-                   s_active
-                   (List.length (active r)))
-            else if exit_code r <> s_exit then
-              fail
-                (Printf.sprintf "summary.exit_code is %d but findings imply %d" s_exit
-                   (exit_code r))
-            else Ok r))
+let to_json = Codec.to_json codec
+let of_json = Codec.of_json codec
 
 (* ------------------------------------------------------------------ *)
 (* Renderings                                                          *)

@@ -8,242 +8,208 @@
    errors become tool-execution notifications on the invocation, and
    flip [executionSuccessful] to false.
 
-   [validate] is the structural checker behind `lowcon validate`: it
-   enforces the subset of the SARIF schema this producer relies on
-   (version string, run/tool/driver shape, every result's ruleId
-   declared by the driver, 1-based regions, known suppression kinds),
-   so CI catches a malformed export before the upload step does. *)
+   [validate] is the checker behind `lowcon validate`: it decodes with
+   the description [of_report] writes with (version string, run, tool
+   and driver shape, every result's ruleId declared by the driver,
+   1-based regions, the suppression kind), so CI catches a malformed
+   export before the upload step does. *)
 
 module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 
 let version = "2.1.0"
 let schema_uri = "https://json.schemastore.org/sarif-2.1.0.json"
 
-let rule_descriptor rule =
-  Json.Obj
-    [
-      ("id", Json.String (Rule.id rule));
-      ("name", Json.String (Rule.id rule));
-      ("shortDescription", Json.Obj [ ("text", Json.String (Rule.title rule)) ]);
-      ("fullDescription", Json.Obj [ ("text", Json.String (Rule.intent rule)) ]);
-      ("defaultConfiguration", Json.Obj [ ("level", Json.String "error") ]);
-    ]
+(* The level every result, notification and rule default carries. *)
+let error = Codec.lit (Json.String "error")
 
-let location (file : string) ~line ~col =
-  Json.Obj
-    [
-      ( "physicalLocation",
-        Json.Obj
-          [
-            ("artifactLocation", Json.Obj [ ("uri", Json.String file) ]);
-            ( "region",
-              Json.Obj
-                [
-                  ("startLine", Json.Int (max 1 line));
-                  (* SARIF columns are 1-based; findings carry
-                     compiler-style 0-based columns. *)
-                  ("startColumn", Json.Int (col + 1));
-                ] );
-          ] );
-    ]
+(* A one-member object, and a one-element list. *)
+let wrap name c = Codec.(record Fun.id [ req name c Fun.id ])
+let one x = [ x ]
 
-let result_of (rules : Rule.t list) (a : Report.annotated) =
-  let f = a.Report.finding in
-  let rule_index =
-    let rec idx i = function
-      | [] -> None
-      | r :: _ when r = f.Finding.rule -> Some i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    idx 0 rules
-  in
-  Json.Obj
-    ([
-       ("ruleId", Json.String (Rule.id f.Finding.rule));
-     ]
-    @ (match rule_index with None -> [] | Some i -> [ ("ruleIndex", Json.Int i) ])
-    @ [
-        ("level", Json.String "error");
-        ("message", Json.Obj [ ("text", Json.String f.Finding.message) ]);
-        ( "locations",
-          Json.List [ location f.Finding.file ~line:f.Finding.line ~col:f.Finding.col ]
-        );
-        ( "properties",
-          Json.Obj
-            ([ ("context", Json.String f.Finding.context) ]
-            @
-            match f.Finding.words with
-            | None -> []
-            | Some w -> [ ("wordsPerCall", Json.Int w) ]) );
-      ]
-    @
-    match a.Report.suppressed with
-    | None -> []
-    | Some s ->
+let text = wrap "text" Codec.string
+
+(* SARIF regions are 1-based in both coordinates; findings carry
+   compiler-style 0-based columns and lines of at least 1. *)
+let region =
+  Codec.record
+    (fun line col ->
+      if line < 1 then Codec.fail "region.startLine must be 1-based";
+      if col < 1 then Codec.fail "region.startColumn must be 1-based";
+      (line, col - 1))
+    Codec.
       [
-        ( "suppressions",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("kind", Json.String "external");
-                  ("justification", Json.String s.Report.justification);
-                ];
-            ] );
-      ])
+        req "startLine" int (fun (line, _) -> max 1 line);
+        req "startColumn" int (fun (_, col) -> col + 1);
+      ]
 
-let notification_of (pe : Report.parse_error) =
-  Json.Obj
-    [
-      ("level", Json.String "error");
-      ("message", Json.Obj [ ("text", Json.String pe.Report.pe_message) ]);
-      ( "locations",
-        Json.List [ location pe.Report.pe_file ~line:pe.Report.pe_line ~col:pe.Report.pe_col ]
-      );
-    ]
+let location =
+  wrap "physicalLocation"
+    (Codec.record
+       (fun file (line, col) -> (file, line, col))
+       Codec.
+         [
+           req "artifactLocation" (wrap "uri" string) (fun (file, _, _) -> file);
+           req "region" region (fun (_, line, col) -> (line, col));
+         ])
 
-let of_report (r : Report.t) =
-  let rules = r.Report.rules in
-  Json.Obj
-    [
-      ("$schema", Json.String schema_uri);
-      ("version", Json.String version);
-      ( "runs",
-        Json.List
-          [
-            Json.Obj
-              [
-                ( "tool",
-                  Json.Obj
-                    [
-                      ( "driver",
-                        Json.Obj
-                          [
-                            ("name", Json.String Report.schema_name);
-                            ( "version",
-                              Json.String (string_of_int Report.schema_version) );
-                            ("rules", Json.List (List.map rule_descriptor rules));
-                          ] );
-                    ] );
-                ( "invocations",
-                  let notifications =
-                    if r.Report.parse_errors = [] then []
-                    else
-                      [
-                        ( "toolExecutionNotifications",
-                          Json.List (List.map notification_of r.Report.parse_errors) );
-                      ]
-                  in
-                  Json.List
-                    [
-                      Json.Obj
-                        ([
-                           ( "executionSuccessful",
-                             Json.Bool (r.Report.parse_errors = []) );
-                           ("exitCode", Json.Int (Report.exit_code r));
-                         ]
-                        @ notifications);
-                    ] );
-                ("results", Json.List (List.map (result_of rules) r.Report.results));
-              ];
-          ] );
-    ]
+let one_location = function [ l ] -> l | _ -> Codec.fail "expected exactly one location"
 
-(* ------------------------------------------------------------------ *)
-(* Structural validation                                               *)
-(* ------------------------------------------------------------------ *)
+let rule_descriptor =
+  Codec.record
+    (fun rule _name _short _full () -> rule)
+    Codec.
+      [
+        req "id" Report.rule_codec Fun.id;
+        req "name" string Rule.id;
+        req "shortDescription" text Rule.title;
+        req "fullDescription" text Rule.intent;
+        req "defaultConfiguration" (record Fun.id [ req "level" error ignore ]) ignore;
+      ]
 
-let ( let* ) = Result.bind
+let properties =
+  Codec.record
+    (fun context words -> (context, words))
+    Codec.[ req "context" string fst; opt "wordsPerCall" int snd ]
 
-let str_m k j =
-  match Option.bind (Json.member k j) Json.string_value with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or ill-typed %S" k)
+(* Suppressed findings are exported with a suppression of kind
+   "external" (the baseline file is external to the source), which
+   code-scanning UIs render as resolved rather than dropping silently —
+   the allowlist stays visible. SARIF keeps neither the expiry nor the
+   baseline line of a suppression. *)
+let suppression =
+  Codec.record
+    (fun () justification -> { Report.justification; expires = None; entry_line = 0 })
+    Codec.
+      [
+        req "kind" (lit (Json.String "external")) ignore;
+        req "justification" string (fun s -> s.Report.justification);
+      ]
 
-let list_m k j =
-  match Json.member k j with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "missing or ill-typed %S (want array)" k)
+(* A result, with the driver index of its rule. *)
+let result =
+  Codec.record
+    (fun rule index () message locations (context, words) suppressions ->
+      let file, line, col = one_location locations in
+      let suppressed =
+        match suppressions with
+        | None -> None
+        | Some [ s ] -> Some s
+        | Some _ -> Codec.fail "expected at most one suppression"
+      in
+      let finding = { Finding.rule; file; line; col; context; message; words } in
+      (index, { Report.finding; suppressed }))
+    Codec.
+      [
+        req "ruleId" Report.rule_codec (fun (_, a) -> a.Report.finding.Finding.rule);
+        opt "ruleIndex" int fst;
+        req "level" error ignore;
+        req "message" text (fun (_, a) -> a.Report.finding.Finding.message);
+        req "locations" (list location) (fun (_, { Report.finding = f; _ }) ->
+            one (f.file, f.line, f.col));
+        req "properties" properties (fun (_, { Report.finding = f; _ }) -> (f.context, f.words));
+        opt "suppressions" (list suppression) (fun (_, a) -> Option.map one a.Report.suppressed);
+      ]
 
-let obj_m k j =
-  match Json.member k j with
-  | Some (Json.Obj _ as o) -> Ok o
-  | _ -> Error (Printf.sprintf "missing or ill-typed %S (want object)" k)
+(* Parse errors become tool-execution notifications on the invocation,
+   and flip [executionSuccessful] to false. *)
+let notification =
+  Codec.record
+    (fun () pe_message locations ->
+      let pe_file, pe_line, pe_col = one_location locations in
+      { Report.pe_file; pe_line; pe_col; pe_message })
+    Codec.
+      [
+        req "level" error ignore;
+        req "message" text (fun pe -> pe.Report.pe_message);
+        req "locations" (list location) (fun pe ->
+            one (pe.Report.pe_file, pe.Report.pe_line, pe.Report.pe_col));
+      ]
 
-let levels = [ "none"; "note"; "warning"; "error" ]
-let suppression_kinds = [ "inSource"; "external" ]
+let driver =
+  Codec.record
+    (fun () () rules -> rules)
+    Codec.
+      [
+        req "name" (lit (Json.String Report.schema_name)) ignore;
+        req "version" (lit (Json.String (string_of_int Report.schema_version))) ignore;
+        req "rules" (list rule_descriptor) Fun.id;
+      ]
 
-let validate_location j =
-  let* pl = obj_m "physicalLocation" j in
-  let* al = obj_m "artifactLocation" pl in
-  let* _uri = str_m "uri" al in
-  match Json.member "region" pl with
-  | None -> Ok ()
-  | Some region -> (
-    match Option.bind (Json.member "startLine" region) Json.int_value with
-    | Some l when l >= 1 -> (
-      match Option.bind (Json.member "startColumn" region) Json.int_value with
-      | Some c when c < 1 -> Error "region.startColumn must be 1-based"
-      | _ -> Ok ())
-    | Some _ -> Error "region.startLine must be 1-based"
-    | None -> Error "region without startLine")
+let invocation =
+  Codec.record
+    (fun ok code notes -> (ok, code, Option.value ~default:[] notes))
+    Codec.
+      [
+        req "executionSuccessful" bool (fun (ok, _, _) -> ok);
+        req "exitCode" int (fun (_, code, _) -> code);
+        opt "toolExecutionNotifications" (list notification) (fun (_, _, pes) ->
+            if pes = Stdlib.List.[] then None else Some pes);
+      ]
 
-let validate_result ~rule_ids j =
-  let* rule_id = str_m "ruleId" j in
-  if not (List.mem rule_id rule_ids) then
-    Error (Printf.sprintf "result ruleId %S not declared by the driver" rule_id)
-  else
-    let* msg = obj_m "message" j in
-    let* _text = str_m "text" msg in
-    let* () =
-      match Option.bind (Json.member "level" j) Json.string_value with
-      | Some l when not (List.mem l levels) ->
-        Error (Printf.sprintf "unknown result level %S" l)
-      | _ -> Ok ()
-    in
-    let* locs = list_m "locations" j in
-    let* () =
-      List.fold_left
-        (fun acc l -> Result.bind acc (fun () -> validate_location l))
-        (Ok ()) locs
-    in
-    match Json.member "suppressions" j with
-    | None -> Ok ()
-    | Some (Json.List sups) ->
-      List.fold_left
-        (fun acc s ->
-          Result.bind acc (fun () ->
-              let* kind = str_m "kind" s in
-              if List.mem kind suppression_kinds then Ok ()
-              else Error (Printf.sprintf "unknown suppression kind %S" kind)))
-        (Ok ()) sups
-    | Some _ -> Error "suppressions must be an array"
+let index_of rules rule =
+  let rec go i = function [] -> None | r :: _ when r = rule -> Some i | _ :: tl -> go (i + 1) tl in
+  go 0 rules
 
-let validate_run j =
-  let* tool = obj_m "tool" j in
-  let* driver = obj_m "driver" tool in
-  let* _name = str_m "name" driver in
-  let* rules = list_m "rules" driver in
-  let* rule_ids =
-    List.fold_left
-      (fun acc r ->
-        let* ids = acc in
-        let* id = str_m "id" r in
-        Ok (id :: ids))
-      (Ok []) rules
-  in
-  let* results = list_m "results" j in
-  List.fold_left
-    (fun acc r -> Result.bind acc (fun () -> validate_result ~rule_ids r))
-    (Ok ()) results
+let indexed rules (a : Report.annotated) = (index_of rules a.finding.rule, a)
+let invocation_of (r : Report.t) = (r.parse_errors = [], Report.exit_code r, r.parse_errors)
 
-let validate j =
-  let* v = str_m "version" j in
-  if v <> version then Error (Printf.sprintf "version is %S, want %S" v version)
-  else
-    let* runs = list_m "runs" j in
-    if runs = [] then Error "runs is empty"
-    else
-      List.fold_left
-        (fun acc r -> Result.bind acc (fun () -> validate_run r))
-        (Ok ()) runs
+(* One run, one driver, one rule descriptor per LC rule, one result per
+   finding. Decoding checks what the writer guarantees: every result's
+   rule is declared by the driver at its [ruleIndex], and the one
+   invocation agrees with the parse errors and the exit code. The
+   report's root, file count and baseline are not part of SARIF. *)
+let run =
+  Codec.record
+    (fun rules invocations results ->
+      List.iter
+        (fun (index, (a : Report.annotated)) ->
+          let id = Rule.id a.finding.rule in
+          if not (List.mem a.finding.rule rules) then
+            Codec.fail (Printf.sprintf "result ruleId %S not declared by the driver" id);
+          if index <> index_of rules a.finding.rule then
+            Codec.fail (Printf.sprintf "result ruleIndex does not point at %S" id))
+        results;
+      let parse_errors =
+        match invocations with
+        | [ (_, _, pes) ] -> pes
+        | _ -> Codec.fail "expected exactly one invocation"
+      in
+      let r =
+        {
+          Report.root = "";
+          files_scanned = 0;
+          rules;
+          results = List.map snd results;
+          parse_errors;
+          baseline = None;
+        }
+      in
+      if invocations <> [ invocation_of r ] then
+        Codec.fail "invocation disagrees with the parse errors and exit code";
+      r)
+    Codec.
+      [
+        req "tool" (wrap "driver" driver) (fun r -> r.Report.rules);
+        req "invocations" (list invocation) (fun r -> one (invocation_of r));
+        req "results" (list result) (fun r -> List.map (indexed r.Report.rules) r.Report.results);
+      ]
+
+let non_empty = function [] -> Error "runs is empty" | _ -> Ok ()
+
+let log =
+  Codec.record
+    (fun () () runs -> runs)
+    Codec.
+      [
+        req "$schema" (lit (Json.String schema_uri)) ignore;
+        req "version" (lit (Json.String version)) ignore;
+        req "runs" (check non_empty (list run)) Fun.id;
+      ]
+
+let of_report r = Codec.to_json log [ r ]
+
+(* The checker behind `lowcon validate`: decoding with the description
+   of_report writes with, so CI catches a malformed export before the
+   upload step does. *)
+let validate j = Result.map ignore (Codec.of_json log j)

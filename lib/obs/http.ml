@@ -35,25 +35,25 @@ let write_response fd { status; content_type; body } =
   done
 
 (* Read until the end of the request head (CRLFCRLF) or a size cap; the
-   routes are all GETs, so any body is ignored. *)
+   routes are all GETs, so any body is ignored. Each read scans only the
+   bytes it added, from 3 back so a terminator split across reads is
+   found: the head is scanned once however it arrives. *)
 let read_head fd =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 512 in
+  let crlf i = Buffer.nth buf i = '\r' && Buffer.nth buf (i + 1) = '\n' in
+  let rec terminated i =
+    i + 3 < Buffer.length buf && ((crlf i && crlf (i + 2)) || terminated (i + 1))
+  in
   let rec go () =
-    if Buffer.length buf > 16 * 1024 then Buffer.contents buf
+    let n =
+      if Buffer.length buf > 16 * 1024 then 0 else Unix.read fd chunk 0 (Bytes.length chunk)
+    in
+    if n = 0 then Buffer.contents buf
     else begin
-      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-      if n = 0 then Buffer.contents buf
-      else begin
-        Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        let rec has_terminator i =
-          i + 3 < String.length s
-          && ((s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n')
-             || has_terminator (i + 1))
-        in
-        if has_terminator 0 then s else go ()
-      end
+      let from = max 0 (Buffer.length buf - 3) in
+      Buffer.add_subbytes buf chunk 0 n;
+      if terminated from then Buffer.contents buf else go ()
     end
   in
   go ()

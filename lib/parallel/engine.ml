@@ -12,6 +12,7 @@ module Epoch = Lc_dynamic.Epoch
 module Dynamic = Lc_dynamic.Dynamic
 module Opstream = Lc_workload.Opstream
 module Coheat = Lc_analysis.Coheat
+module Codec = Lc_obs.Codec
 
 type cost = Free | Spinlock of { hold : int }
 
@@ -95,6 +96,38 @@ let phase_counter_names =
     ("wall", "engine_phase_wall_ns_total");
     ("idle", "engine_phase_idle_ns_total");
   ]
+
+type phase_totals = {
+  probe_ns : int;
+  tally_ns : int;
+  publish_ns : int;
+  pin_ns : int;
+  other_ns : int;
+  wall_ns : int;
+  idle_ns : int;
+}
+
+(* The attribution invariant the scaling views stand on: the five in-wall
+   phases sum exactly to wall, or the document is rejected. *)
+let phase_totals_codec =
+  Codec.record
+    (fun probe_ns tally_ns publish_ns pin_ns other_ns wall_ns idle_ns ->
+      let parts = probe_ns + tally_ns + publish_ns + pin_ns + other_ns in
+      if parts <> wall_ns then
+        Codec.fail
+          (Printf.sprintf "phases sum to %d ns but wall_ns is %d — attribution does not reconcile"
+             parts wall_ns);
+      { probe_ns; tally_ns; publish_ns; pin_ns; other_ns; wall_ns; idle_ns })
+    Codec.
+      [
+        req "probe_ns" int (fun p -> p.probe_ns);
+        req "tally_ns" int (fun p -> p.tally_ns);
+        req "publish_ns" int (fun p -> p.publish_ns);
+        req "pin_ns" int (fun p -> p.pin_ns);
+        req "other_ns" int (fun p -> p.other_ns);
+        req "wall_ns" int (fun p -> p.wall_ns);
+        req "idle_ns" int (fun p -> p.idle_ns);
+      ]
 
 let register_phase_metrics (o : Lc_obs.Obs.t) =
   let c phase help = Metrics.counter o.metrics ~help (List.assoc phase phase_counter_names) in
@@ -494,28 +527,6 @@ module Monitor = struct
     ^ Window.prometheus_gauges t.window
     ^ control_gauges t
 
-  (* The co-heat JSON object shared by /cells.json and /scaling.json:
-     per-cell tallies bucketed into cache-line groups (see
-     {!Lc_analysis.Coheat}), or [Null] when the run keeps no live
-     per-cell counters (dynamic workloads, or before a serve starts). *)
-  let coheat_json counts_opt =
-    let module J = Lc_obs.Json in
-    match counts_opt with
-    | None -> J.Null
-    | Some counts ->
-      let ch = Coheat.of_counts counts in
-      J.Obj
-        [
-          ("line_cells", J.Int ch.Coheat.line_cells);
-          ("lines", J.Int ch.Coheat.lines);
-          ("total_probes", J.Int ch.Coheat.total);
-          ("ratio", J.Float ch.Coheat.ratio);
-          ("uniform_bound", J.Float (Coheat.uniform_bound ch));
-          ("hottest_line", J.Int ch.Coheat.hottest_line);
-          ("hottest_line_heat", J.Int ch.Coheat.hottest_line_heat);
-          ("hottest_line_share", J.Float ch.Coheat.hottest_line_share);
-        ]
-
   (* Per-cell totals over the per-domain tallies. Racy by design: each
      tally has one writer, so a mid-run scrape sees every cell complete,
      at most a few increments stale; after the run the tallies are
@@ -532,78 +543,285 @@ module Monitor = struct
         Some sum
       end
 
-  let cells_body t =
-    let cells = Window.live_cells t.window in
-    let exact_counts = live_count_values t in
-    let exact_hist =
-      match exact_counts with
-      | None -> []
-      | Some counts -> histogram_of_counts counts
+  (* ---------------- route documents ----------------
+
+     Each JSON route is written from one Codec description, and the
+     three schema-versioned ones are what [lowcon validate] decodes a
+     saved scrape with. The window fields are described once: the live
+     /windows.json view leaves off what only a postmortem carries, and
+     /updates.json and /scaling.json reuse the update and GC groups. *)
+
+  let stamp =
+    Codec.record
+      (fun i s e -> (i, s, e))
+      Codec.
+        [
+          req "index" int (fun (i, _, _) -> i);
+          req "t_start_s" float (fun (_, s, _) -> s);
+          req "t_end_s" float (fun (_, _, e) -> e);
+        ]
+
+  (* A member only the full (postmortem) view writes. *)
+  let only ~full name c get default = if full then Codec.req name c get else Codec.skip default
+
+  let uentry_codec ~full =
+    Codec.record
+      (fun u_inserts u_deletes ups u_pubs pubs_per_s u_cells write_amp rebuild_p50_ns
+           rebuild_p99_ns u_epoch u_retired u_reader_lag cum_updates cum_cells ->
+        {
+          Window.u_inserts;
+          u_deletes;
+          ups;
+          u_pubs;
+          pubs_per_s;
+          u_cells;
+          write_amp;
+          rebuild_p50_ns;
+          rebuild_p99_ns;
+          u_epoch;
+          u_retired;
+          u_reader_lag;
+          cum_updates;
+          cum_cells;
+        })
+      Codec.
+        [
+          req "inserts" int (fun u -> u.Window.u_inserts);
+          req "deletes" int (fun u -> u.Window.u_deletes);
+          req "ups" float (fun u -> u.Window.ups);
+          req "publications" int (fun u -> u.Window.u_pubs);
+          req "pubs_per_s" float (fun u -> u.Window.pubs_per_s);
+          req "cells_written" int (fun u -> u.Window.u_cells);
+          req "write_amp" float (fun u -> u.Window.write_amp);
+          req "rebuild_p50_ns" float (fun u -> u.Window.rebuild_p50_ns);
+          req "rebuild_p99_ns" float (fun u -> u.Window.rebuild_p99_ns);
+          req "epoch" int (fun u -> u.Window.u_epoch);
+          req "retired_pending" int (fun u -> u.Window.u_retired);
+          req "reader_lag" int (fun u -> u.Window.u_reader_lag);
+          only ~full "cum_updates" int (fun u -> u.Window.cum_updates) 0;
+          only ~full "cum_cells" int (fun u -> u.Window.cum_cells) 0;
+        ]
+
+  let gentry_codec ~full =
+    Codec.record
+      (fun g_minor_words g_promoted_words g_major_words g_minor_collections g_major_collections
+           alloc_per_query g_heap_words cum_minor_words cum_major_collections ->
+        {
+          Window.g_minor_words;
+          g_promoted_words;
+          g_major_words;
+          g_minor_collections;
+          g_major_collections;
+          alloc_per_query;
+          g_heap_words;
+          cum_minor_words;
+          cum_major_collections;
+        })
+      Codec.
+        [
+          req "minor_words" int (fun g -> g.Window.g_minor_words);
+          req "promoted_words" int (fun g -> g.Window.g_promoted_words);
+          req "major_words" int (fun g -> g.Window.g_major_words);
+          req "minor_collections" int (fun g -> g.Window.g_minor_collections);
+          req "major_collections" int (fun g -> g.Window.g_major_collections);
+          req "alloc_per_query" float (fun g -> g.Window.alloc_per_query);
+          req "heap_words" int (fun g -> g.Window.g_heap_words);
+          only ~full "cum_minor_words" int (fun g -> g.Window.cum_minor_words) 0;
+          only ~full "cum_major_collections" int (fun g -> g.Window.cum_major_collections) 0;
+        ]
+
+  let heavy_triple =
+    Codec.(
+      map
+        (fun (item, count, err) -> { Heavy.item; count; err })
+        (fun (e : Heavy.entry) -> (e.item, e.count, e.err))
+        (triple int int int))
+
+  let window_view ~full =
+    let only name c get default = only ~full name c get default in
+    Codec.record
+      (fun updates gc (index, t_start_s, t_end_s) queries probes qps probes_per_s p50_ns p99_ns
+           top_cells max_cell max_share hotspot_ratio alert cum_queries cum_probes ->
+        {
+          Window.index;
+          t_start_s;
+          t_end_s;
+          queries;
+          probes;
+          qps;
+          probes_per_s;
+          p50_ns;
+          p99_ns;
+          top_cells;
+          max_cell;
+          max_share;
+          hotspot_ratio;
+          alert;
+          cum_queries;
+          cum_probes;
+          updates;
+          gc;
+        })
+      Codec.
+        [
+          (if full then opt "updates" (uentry_codec ~full) (fun e -> e.Window.updates)
+           else skip None);
+          (if full then opt "gc" (gentry_codec ~full) (fun e -> e.Window.gc) else skip None);
+          flat stamp (fun e -> (e.Window.index, e.Window.t_start_s, e.Window.t_end_s));
+          req "queries" int (fun e -> e.Window.queries);
+          req "probes" int (fun e -> e.Window.probes);
+          req "qps" float (fun e -> e.Window.qps);
+          req "probes_per_s" float (fun e -> e.Window.probes_per_s);
+          req "p50_ns" float (fun e -> e.Window.p50_ns);
+          req "p99_ns" float (fun e -> e.Window.p99_ns);
+          only "top_cells" (list heavy_triple) (fun e -> e.Window.top_cells) [];
+          req "max_cell" int (fun e -> e.Window.max_cell);
+          req "max_share" float (fun e -> e.Window.max_share);
+          req "hotspot_ratio" float (fun e -> e.Window.hotspot_ratio);
+          req "alert" bool (fun e -> e.Window.alert);
+          req "cum_queries" int (fun e -> e.Window.cum_queries);
+          only "cum_probes" int (fun e -> e.Window.cum_probes) 0;
+        ]
+
+  let window_codec = window_view ~full:true
+
+  let coheat_codec =
+    Codec.nullable
+      (Codec.record
+         (fun line_cells lines total ratio _uniform_bound hottest_line hottest_line_heat
+              hottest_line_share heats ->
+           if ratio < 0.0 || ratio >= 1.0 then Codec.fail "ratio out of [0, 1)";
+           {
+             Coheat.line_cells;
+             lines;
+             total;
+             ratio;
+             heats;
+             hottest_line;
+             hottest_line_heat;
+             hottest_line_share;
+           })
+         Codec.
+           [
+             req "line_cells" int (fun c -> c.Coheat.line_cells);
+             req "lines" int (fun c -> c.Coheat.lines);
+             req "total_probes" int (fun c -> c.Coheat.total);
+             req "ratio" float (fun c -> c.Coheat.ratio);
+             req "uniform_bound" float Coheat.uniform_bound;
+             req "hottest_line" int (fun c -> c.Coheat.hottest_line);
+             req "hottest_line_heat" int (fun c -> c.Coheat.hottest_line_heat);
+             req "hottest_line_share" float (fun c -> c.Coheat.hottest_line_share);
+             skip [||];
+           ])
+
+  (* /windows.json: the window ring in its live view, and alert state. *)
+  let windows_codec =
+    Codec.record
+      (fun w a f -> (w, a, f))
+      Codec.
+        [
+          req "windows" (list (window_view ~full:false)) (fun (w, _, _) -> w);
+          req "alert_active" bool (fun (_, a, _) -> a);
+          req "alert_fired_total" int (fun (_, _, f) -> f);
+        ]
+
+  (* /cells.json: the merged sketch, co-heat, and the exact count
+     histogram as [(bucket upper bound, cells)] pairs. *)
+  let cells_codec =
+    let cell =
+      Codec.record
+        (fun item count err -> { Heavy.item; count; err })
+        Codec.
+          [
+            req "cell" int (fun e -> e.Heavy.item);
+            req "count" int (fun e -> e.Heavy.count);
+            req "err" int (fun e -> e.Heavy.err);
+          ]
     in
-    Lc_obs.Json.to_string
-      (Lc_obs.Json.Obj
-         [
-           ("total_observed", Lc_obs.Json.Int cells.Heavy.total_observed);
-           ("error_bound", Lc_obs.Json.Int cells.Heavy.error_bound);
-           ("coheat", coheat_json exact_counts);
-           ( "top",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (e : Heavy.entry) ->
-                    Lc_obs.Json.Obj
-                      [
-                        ("cell", Lc_obs.Json.Int e.item);
-                        ("count", Lc_obs.Json.Int e.count);
-                        ("err", Lc_obs.Json.Int e.err);
-                      ])
-                  cells.Heavy.top) );
-           ( "count_histogram",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (upper, n) ->
-                    Lc_obs.Json.List [ Lc_obs.Json.Int upper; Lc_obs.Json.Int n ])
-                  exact_hist) );
-         ])
+    Codec.record
+      (fun total_observed error_bound coheat top hist ->
+        ({ Heavy.top; total_observed; error_bound }, coheat, hist))
+      Codec.
+        [
+          req "total_observed" int (fun (m, _, _) -> m.Heavy.total_observed);
+          req "error_bound" int (fun (m, _, _) -> m.Heavy.error_bound);
+          req "coheat" coheat_codec (fun (_, c, _) -> c);
+          req "top" (list cell) (fun (m, _, _) -> m.Heavy.top);
+          req "count_histogram" (list (pair int int)) (fun (_, _, h) -> h);
+        ]
 
-  let windows_body t =
-    Lc_obs.Json.to_string
-      (Lc_obs.Json.Obj
-         [
-           ( "windows",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (e : Window.entry) ->
-                    Lc_obs.Json.Obj
-                      [
-                        ("index", Lc_obs.Json.Int e.index);
-                        ("t_start_s", Lc_obs.Json.Float e.t_start_s);
-                        ("t_end_s", Lc_obs.Json.Float e.t_end_s);
-                        ("queries", Lc_obs.Json.Int e.queries);
-                        ("probes", Lc_obs.Json.Int e.probes);
-                        ("qps", Lc_obs.Json.Float e.qps);
-                        ("probes_per_s", Lc_obs.Json.Float e.probes_per_s);
-                        ("p50_ns", Lc_obs.Json.Float e.p50_ns);
-                        ("p99_ns", Lc_obs.Json.Float e.p99_ns);
-                        ("max_cell", Lc_obs.Json.Int e.max_cell);
-                        ("max_share", Lc_obs.Json.Float e.max_share);
-                        ("hotspot_ratio", Lc_obs.Json.Float e.hotspot_ratio);
-                        ("alert", Lc_obs.Json.Bool e.alert);
-                        ("cum_queries", Lc_obs.Json.Int e.cum_queries);
-                      ])
-                  (Window.entries t.window)) );
-           ("alert_active", Lc_obs.Json.Bool (Window.alert_active t.window));
-           ("alert_fired_total", Lc_obs.Json.Int (Window.alert_fired_total t.window));
-         ])
+  type update_totals = {
+    inserts : int;
+    deletes : int;
+    publications : int;
+    reclaimed : int;
+    cells_written : int;
+    write_amp : float;
+    epoch : int;
+    retired_pending : int;
+    reader_lag : int;
+  }
 
-  (* /updates.json: the update-path counterpart of /windows.json,
-     schema-versioned ("lowcon-updates" v1) so `lowcon validate` can
-     check a saved scrape. [cumulative] is null and [windows] empty for
-     a run that never exercised the update path (static workloads). *)
+  let update_totals_codec =
+    Codec.record
+      (fun inserts deletes publications reclaimed cells_written write_amp epoch retired_pending
+           reader_lag ->
+        {
+          inserts;
+          deletes;
+          publications;
+          reclaimed;
+          cells_written;
+          write_amp;
+          epoch;
+          retired_pending;
+          reader_lag;
+        })
+      Codec.
+        [
+          req "inserts" int (fun c -> c.inserts);
+          req "deletes" int (fun c -> c.deletes);
+          req "publications" int (fun c -> c.publications);
+          req "reclaimed" int (fun c -> c.reclaimed);
+          req "cells_written" int (fun c -> c.cells_written);
+          req "write_amp" float (fun c -> c.write_amp);
+          req "epoch" int (fun c -> c.epoch);
+          req "retired_pending" int (fun c -> c.retired_pending);
+          req "reader_lag" int (fun c -> c.reader_lag);
+        ]
+
   let updates_schema_name = "lowcon-updates"
   let updates_schema_version = 1
 
-  let updates_body t =
-    let module J = Lc_obs.Json in
+  (* /updates.json: cumulative builder counters — null exactly when the
+     run never exercised the update path — and the per-window update
+     entries. *)
+  type updates_doc = update_totals option * ((int * float * float) * Window.uentry) list
+
+  let updates_codec : updates_doc Codec.t =
+    let window =
+      Codec.record
+        (fun s u -> (s, u))
+        Codec.[ flat stamp fst; flat (uentry_codec ~full:false) snd ]
+    in
+    Codec.document ~schema:updates_schema_name ~version:updates_schema_version
+      ~describe:(fun (cum, ws) ->
+        Printf.sprintf "%s, %d update window(s)"
+          (if cum = None then "no updates (static run)" else "updates seen")
+          (List.length ws))
+      (Codec.record
+         (fun seen cum ws ->
+           if seen <> (cum <> None) then
+             Codec.fail "\"cumulative\" must be null exactly when \"updates_seen\" is false";
+           (cum, ws))
+         Codec.
+           [
+             req "updates_seen" bool (fun (cum, _) -> cum <> None);
+             req "cumulative" (nullable update_totals_codec) fst;
+             req "windows" (list window) snd;
+           ])
+
+  let updates_doc t : updates_doc =
     let snap = Window.live_snapshot t.window in
     let n = update_metric_names in
     let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
@@ -613,216 +831,290 @@ module Monitor = struct
       | Some v -> int_of_float v
     in
     let inserts = c n.Window.inserts_counter in
-    let deletes = c n.Window.deletes_counter in
-    let pubs = c n.Window.publications_counter in
-    let cells = c n.Window.cells_counter in
-    let active = inserts + deletes + pubs > 0 in
-    let cumulative =
-      if not active then J.Null
-      else
-        J.Obj
-          [
-            ("inserts", J.Int inserts);
-            ("deletes", J.Int deletes);
-            ("publications", J.Int pubs);
-            ("reclaimed", J.Int (c "engine_reclaimed_total"));
-            ("cells_written", J.Int cells);
-            ( "write_amp",
-              J.Float
-                (if inserts > 0 then float_of_int cells /. float_of_int inserts else 0.0) );
-            ("epoch", J.Int (g n.Window.epoch_gauge));
-            ("retired_pending", J.Int (g n.Window.retired_gauge));
-            ("reader_lag", J.Int (g n.Window.reader_lag_gauge));
-          ]
+    let cells_written = c n.Window.cells_counter in
+    let totals =
+      {
+        inserts;
+        deletes = c n.Window.deletes_counter;
+        publications = c n.Window.publications_counter;
+        reclaimed = c "engine_reclaimed_total";
+        cells_written;
+        write_amp =
+          (if inserts > 0 then float_of_int cells_written /. float_of_int inserts else 0.0);
+        epoch = g n.Window.epoch_gauge;
+        retired_pending = g n.Window.retired_gauge;
+        reader_lag = g n.Window.reader_lag_gauge;
+      }
     in
-    let uwindows =
+    ( (if totals.inserts + totals.deletes + totals.publications > 0 then Some totals else None),
       List.filter_map
         (fun (e : Window.entry) ->
-          match e.Window.updates with
-          | None -> None
-          | Some u ->
-            Some
-              (J.Obj
-                 [
-                   ("index", J.Int e.Window.index);
-                   ("t_start_s", J.Float e.Window.t_start_s);
-                   ("t_end_s", J.Float e.Window.t_end_s);
-                   ("inserts", J.Int u.Window.u_inserts);
-                   ("deletes", J.Int u.Window.u_deletes);
-                   ("ups", J.Float u.Window.ups);
-                   ("publications", J.Int u.Window.u_pubs);
-                   ("pubs_per_s", J.Float u.Window.pubs_per_s);
-                   ("cells_written", J.Int u.Window.u_cells);
-                   ("write_amp", J.Float u.Window.write_amp);
-                   ("rebuild_p50_ns", J.Float u.Window.rebuild_p50_ns);
-                   ("rebuild_p99_ns", J.Float u.Window.rebuild_p99_ns);
-                   ("epoch", J.Int u.Window.u_epoch);
-                   ("retired_pending", J.Int u.Window.u_retired);
-                   ("reader_lag", J.Int u.Window.u_reader_lag);
-                 ]))
-        (Window.entries t.window)
-    in
-    J.to_string
-      (J.Obj
-         [
-           ("schema", J.String updates_schema_name);
-           ("version", J.Int updates_schema_version);
-           ("updates_seen", J.Bool active);
-           ("cumulative", cumulative);
-           ("windows", J.List uwindows);
-         ])
+          Option.map (fun u -> ((e.index, e.t_start_s, e.t_end_s), u)) e.updates)
+        (Window.entries t.window) )
 
-  (* /scaling.json: the scaling observatory's live view — cumulative
-     per-phase time attribution, GC/allocation counters, the windowed GC
-     entries and the cache-line co-heat diagnostic, schema-versioned
-     ("lowcon-scaling-live" v1) so `lowcon validate` can check a saved
-     scrape. Distinct from the offline "lowcon-scaling" artifact the
-     `lowcon scale` sweep writes: this is one run's telemetry, that is a
-     fitted domain sweep. *)
   let scaling_schema_name = "lowcon-scaling-live"
   let scaling_schema_version = 1
 
-  let scaling_body t =
-    let module J = Lc_obs.Json in
-    let snap = Window.live_snapshot t.window in
-    let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
-    let phases =
-      J.Obj
-        (List.map (fun (phase, counter) -> (phase ^ "_ns", J.Int (c counter)))
-           phase_counter_names)
-    in
-    let gn = gc_metric_names in
-    let gwindows =
-      List.filter_map
-        (fun (e : Window.entry) ->
-          match e.Window.gc with
-          | None -> None
-          | Some g ->
-            Some
-              (J.Obj
-                 [
-                   ("index", J.Int e.Window.index);
-                   ("t_start_s", J.Float e.Window.t_start_s);
-                   ("t_end_s", J.Float e.Window.t_end_s);
-                   ("queries", J.Int e.Window.queries);
-                   ("minor_words", J.Int g.Window.g_minor_words);
-                   ("promoted_words", J.Int g.Window.g_promoted_words);
-                   ("major_words", J.Int g.Window.g_major_words);
-                   ("minor_collections", J.Int g.Window.g_minor_collections);
-                   ("major_collections", J.Int g.Window.g_major_collections);
-                   ("alloc_per_query", J.Float g.Window.alloc_per_query);
-                   ("heap_words", J.Int g.Window.g_heap_words);
-                 ]))
-        (Window.entries t.window)
+  (* /scaling.json: cumulative per-phase time attribution, GC counters
+     with the windowed GC entries, and the co-heat diagnostic. Distinct
+     from the offline "lowcon-scaling" sweep artifact. *)
+  type scaling_doc =
+    int
+    * phase_totals
+    * (int * int * int * ((int * float * float) * int * Window.gentry) list)
+    * Coheat.t option
+
+  let scaling_codec : scaling_doc Codec.t =
+    let gc_window =
+      Codec.record
+        (fun s q g -> (s, q, g))
+        Codec.
+          [
+            flat stamp (fun (s, _, _) -> s);
+            req "queries" int (fun (_, q, _) -> q);
+            flat (gentry_codec ~full:false) (fun (_, _, g) -> g);
+          ]
     in
     let gc =
-      J.Obj
-        [
-          ("minor_words", J.Int (c gn.Window.minor_words_counter));
-          ("promoted_words", J.Int (c gn.Window.promoted_words_counter));
-          ("major_words", J.Int (c gn.Window.major_words_counter));
-          ("windows", J.List gwindows);
-        ]
+      Codec.record
+        (fun minor promoted major windows -> (minor, promoted, major, windows))
+        Codec.
+          [
+            req "minor_words" int (fun (m, _, _, _) -> m);
+            req "promoted_words" int (fun (_, p, _, _) -> p);
+            req "major_words" int (fun (_, _, m, _) -> m);
+            req "windows" (list gc_window) (fun (_, _, _, w) -> w);
+          ]
     in
-    J.to_string
-      (J.Obj
-         [
-           ("schema", J.String scaling_schema_name);
-           ("version", J.Int scaling_schema_version);
-           ("domains", J.Int t.domains);
-           ("phases", phases);
-           ("gc", gc);
-           ("coheat", coheat_json (live_count_values t));
-         ])
+    Codec.document ~schema:scaling_schema_name ~version:scaling_schema_version
+      ~describe:(fun (domains, _, (_, _, _, windows), _) ->
+        Printf.sprintf "%d domain(s), %d GC window(s)" domains (List.length windows))
+      (Codec.record
+         (fun d p g c -> (d, p, g, c))
+         Codec.
+           [
+             req "domains" int (fun (d, _, _, _) -> d);
+             req "phases" phase_totals_codec (fun (_, p, _, _) -> p);
+             req "gc" gc (fun (_, _, g, _) -> g);
+             req "coheat" coheat_codec (fun (_, _, _, c) -> c);
+           ])
 
-  (* /control.json: the controller's sense→decide→act state, schema-
-     versioned ("lowcon-control" v1) so `lowcon validate` can check a
-     saved scrape. [attached] is false (and everything else absent) for
-     a run without a controller; otherwise the decision list carries
-     exactly the records the controller journaled, so a scrape, the
-     flight recorder and a postmortem replay reconcile one to one. *)
+  let scaling_doc t : scaling_doc =
+    let snap = Window.live_snapshot t.window in
+    let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
+    let ph phase = c (List.assoc phase phase_counter_names) in
+    let gn = gc_metric_names in
+    ( t.domains,
+      {
+        probe_ns = ph "probe";
+        tally_ns = ph "tally";
+        publish_ns = ph "publish";
+        pin_ns = ph "pin";
+        other_ns = ph "other";
+        wall_ns = ph "wall";
+        idle_ns = ph "idle";
+      },
+      ( c gn.Window.minor_words_counter,
+        c gn.Window.promoted_words_counter,
+        c gn.Window.major_words_counter,
+        List.filter_map
+          (fun (e : Window.entry) ->
+            Option.map (fun g -> ((e.index, e.t_start_s, e.t_end_s), e.queries, g)) e.gc)
+          (Window.entries t.window) ),
+      Option.map Coheat.of_counts (live_count_values t) )
+
   let control_schema_name = "lowcon-control"
   let control_schema_version = 1
 
-  let control_body t =
-    let module J = Lc_obs.Json in
-    let module C = Lc_control.Controller in
-    let header =
-      [
-        ("schema", J.String control_schema_name);
-        ("version", J.Int control_schema_version);
-      ]
-    in
-    match t.controller with
-    | None -> J.to_string (J.Obj (header @ [ ("attached", J.Bool false) ]))
-    | Some ctl ->
-      let pc = C.policy_config ctl in
-      let decision (d : C.decision) =
-        J.Obj
-          [
-            ("id", J.Int d.C.d_id);
-            ("window", J.Int d.C.d_window);
-            ("ratio", J.Float d.C.d_ratio);
-            ("cell", J.Int d.C.d_cell);
-            ("count", J.Int d.C.d_count);
-            ("err", J.Int d.C.d_err);
-            ("score", J.Int d.C.d_score);
-            ("action", J.String (match d.C.d_action with `Raise -> "raise" | `Lower -> "lower"));
-            ("old_boost", J.Int d.C.d_old_boost);
-            ("new_boost", J.Int d.C.d_new_boost);
-            ("cooldown", J.Int d.C.d_cooldown);
-          ]
-      in
-      J.to_string
-        (J.Obj
-           (header
-           @ [
-               ("attached", J.Bool true);
-               ( "boost",
-                 J.Obj
-                   [
-                     ("base", J.Int (C.base_boost ctl));
-                     ("target", J.Int (C.target_boost ctl));
-                     ("applied", J.Int (C.applied_boost ctl));
-                   ] );
-               ( "policy",
-                 J.Obj
-                   [
-                     ("high_ratio", J.Float pc.Lc_control.Policy.high_ratio);
-                     ("low_ratio", J.Float pc.Lc_control.Policy.low_ratio);
-                     ("hot_contrib", J.Int pc.Lc_control.Policy.hot_contrib);
-                     ("cool_contrib", J.Int pc.Lc_control.Policy.cool_contrib);
-                     ("high_threshold", J.Int pc.Lc_control.Policy.high_threshold);
-                     ("low_threshold", J.Int pc.Lc_control.Policy.low_threshold);
-                     ("cooldown_windows", J.Int pc.Lc_control.Policy.cooldown_windows);
-                     ("min_boost", J.Int pc.Lc_control.Policy.min_boost);
-                     ("max_boost", J.Int pc.Lc_control.Policy.max_boost);
-                     ("step", J.Int pc.Lc_control.Policy.step);
-                   ] );
-               ( "state",
-                 J.Obj
-                   [
-                     ("score", J.Int (C.score ctl));
-                     ("cooldown", J.Int (C.cooldown ctl));
-                     ("windows_seen", J.Int (C.windows_seen ctl));
-                     ("last_ratio", J.Float (C.last_ratio ctl));
-                   ] );
-               ("decisions_total", J.Int (C.decisions_total ctl));
-               ("decisions", J.List (List.map decision (C.decisions ctl)));
-             ]))
+  module C = Lc_control.Controller
+  module P = Lc_control.Policy
 
-  let control_json = control_body
+  (* One decision, exactly as the controller journals it. *)
+  let decision_codec =
+    Codec.record
+      (fun d_id d_window d_ratio d_cell d_count d_err d_score d_action d_old_boost d_new_boost
+           d_cooldown ->
+        {
+          C.d_id;
+          d_window;
+          d_ratio;
+          d_cell;
+          d_count;
+          d_err;
+          d_score;
+          d_action;
+          d_old_boost;
+          d_new_boost;
+          d_cooldown;
+        })
+      Codec.
+        [
+          req "id" int (fun d -> d.C.d_id);
+          req "window" int (fun d -> d.C.d_window);
+          req "ratio" float (fun d -> d.C.d_ratio);
+          req "cell" int (fun d -> d.C.d_cell);
+          req "count" int (fun d -> d.C.d_count);
+          req "err" int (fun d -> d.C.d_err);
+          req "score" int (fun d -> d.C.d_score);
+          req "action" (enum [ ("raise", `Raise); ("lower", `Lower) ]) (fun d -> d.C.d_action);
+          req "old_boost" int (fun d -> d.C.d_old_boost);
+          req "new_boost" int (fun d -> d.C.d_new_boost);
+          req "cooldown" int (fun d -> d.C.d_cooldown);
+        ]
+
+  let policy_codec =
+    Codec.record
+      (fun high_ratio low_ratio hot_contrib cool_contrib high_threshold low_threshold
+           cooldown_windows min_boost max_boost step ->
+        {
+          P.high_ratio;
+          low_ratio;
+          hot_contrib;
+          cool_contrib;
+          high_threshold;
+          low_threshold;
+          cooldown_windows;
+          min_boost;
+          max_boost;
+          step;
+        })
+      Codec.
+        [
+          req "high_ratio" float (fun p -> p.P.high_ratio);
+          req "low_ratio" float (fun p -> p.P.low_ratio);
+          req "hot_contrib" int (fun p -> p.P.hot_contrib);
+          req "cool_contrib" int (fun p -> p.P.cool_contrib);
+          req "high_threshold" int (fun p -> p.P.high_threshold);
+          req "low_threshold" int (fun p -> p.P.low_threshold);
+          req "cooldown_windows" int (fun p -> p.P.cooldown_windows);
+          req "min_boost" int (fun p -> p.P.min_boost);
+          req "max_boost" int (fun p -> p.P.max_boost);
+          req "step" int (fun p -> p.P.step);
+        ]
+
+  (* An attached controller as /control.json shows it: boost (base,
+     target, applied), policy, state (score, cooldown, windows seen, last
+     ratio) and the decision log. *)
+  type control_doc =
+    ((int * int * int) * P.config * (int * int * int * float) * C.decision list) option
+
+  (* The decision log must chain: ids 1..N, every boost a power of two
+     in the policy's [min, max] band, each old_boost the previous
+     new_boost starting from the base boost — the reconciliation a
+     postmortem replay performs against the journal. *)
+  let check_chain base (p : P.config) decisions =
+    let pow2 b = b > 0 && b land (b - 1) = 0 in
+    ignore
+      (List.fold_left
+         (fun (id, boost) (d : C.decision) ->
+           if d.d_id <> id then
+             Codec.fail
+               (Printf.sprintf "decision ids not consecutive: expected %d, got %d" id d.d_id);
+           if
+             not
+               (pow2 d.d_old_boost && pow2 d.d_new_boost && d.d_new_boost >= p.min_boost
+              && d.d_new_boost <= p.max_boost)
+           then
+             Codec.fail
+               (Printf.sprintf
+                  "decision %d: boost %d -> %d outside the power-of-two [%d, %d] band" id
+                  d.d_old_boost d.d_new_boost p.min_boost p.max_boost);
+           if d.d_old_boost <> boost then
+             Codec.fail
+               (Printf.sprintf "decision %d: old_boost %d does not chain from %d" id
+                  d.d_old_boost boost);
+           (id + 1, d.d_new_boost))
+         (1, base) decisions
+        : int * int)
+
+  (* /control.json: the controller's policy, live hysteresis state and
+     full decision log, or just [attached: false]. *)
+  let control_codec : control_doc Codec.t =
+    let boost =
+      Codec.record
+        (fun b t a -> (b, t, a))
+        Codec.
+          [
+            req "base" int (fun (b, _, _) -> b);
+            req "target" int (fun (_, t, _) -> t);
+            req "applied" int (fun (_, _, a) -> a);
+          ]
+    in
+    let state =
+      Codec.record
+        (fun s c w r -> (s, c, w, r))
+        Codec.
+          [
+            req "score" int (fun (s, _, _, _) -> s);
+            req "cooldown" int (fun (_, c, _, _) -> c);
+            req "windows_seen" int (fun (_, _, w, _) -> w);
+            req "last_ratio" float (fun (_, _, _, r) -> r);
+          ]
+    in
+    let attached =
+      Codec.record
+        (fun ((base, _, _) as boost) policy state total decisions ->
+          if List.length decisions <> total then
+            Codec.fail
+              (Printf.sprintf "decisions_total is %d but %d decision(s) listed" total
+                 (List.length decisions));
+          check_chain base policy decisions;
+          (boost, policy, state, decisions))
+        Codec.
+          [
+            req "boost" boost (fun (b, _, _, _) -> b);
+            req "policy" policy_codec (fun (_, p, _, _) -> p);
+            req "state" state (fun (_, _, s, _) -> s);
+            req "decisions_total" int (fun (_, _, _, ds) -> List.length ds);
+            req "decisions" (list decision_codec) (fun (_, _, _, ds) -> ds);
+          ]
+    in
+    Codec.document ~schema:control_schema_name ~version:control_schema_version
+      ~describe:(function
+        | None -> "no controller attached"
+        | Some (_, _, _, ds) -> Printf.sprintf "%d decision(s), chain reconciled" (List.length ds))
+      (Codec.union "attached"
+         [
+           Codec.case (Lc_obs.Json.Bool false) Codec.[] None (function
+             | None -> Some Codec.[]
+             | Some _ -> None);
+           Codec.case (Lc_obs.Json.Bool true)
+             Codec.[ inline attached ]
+             Option.some
+             (Option.map (fun c -> Codec.[ c ]));
+         ])
+
+  let windows_doc t =
+    (Window.entries t.window, Window.alert_active t.window, Window.alert_fired_total t.window)
+
+  let cells_doc t =
+    let counts = live_count_values t in
+    ( Window.live_cells t.window,
+      Option.map Coheat.of_counts counts,
+      match counts with None -> [] | Some counts -> histogram_of_counts counts )
+
+  let control_doc t : control_doc =
+    Option.map
+      (fun ctl ->
+        ( (C.base_boost ctl, C.target_boost ctl, C.applied_boost ctl),
+          C.policy_config ctl,
+          (C.score ctl, C.cooldown ctl, C.windows_seen ctl, C.last_ratio ctl),
+          C.decisions ctl ))
+      t.controller
+
+  let body codec doc = Lc_obs.Json.to_string (Codec.to_json codec doc)
+  let control_json t = body control_codec (control_doc t)
 
   let routes t : Http.route list =
     [
       ("/metrics", fun () -> Http.text (metrics_body t));
       ( "/snapshot.json",
         fun () -> Http.json (Lc_obs.Export.json_snapshot (Window.live_snapshot t.window)) );
-      ("/cells.json", fun () -> Http.json (cells_body t));
-      ("/windows.json", fun () -> Http.json (windows_body t));
-      ("/updates.json", fun () -> Http.json (updates_body t));
-      ("/scaling.json", fun () -> Http.json (scaling_body t));
-      ("/control.json", fun () -> Http.json (control_body t));
+      ("/cells.json", fun () -> Http.json (body cells_codec (cells_doc t)));
+      ("/windows.json", fun () -> Http.json (body windows_codec (windows_doc t)));
+      ("/updates.json", fun () -> Http.json (body updates_codec (updates_doc t)));
+      ("/scaling.json", fun () -> Http.json (body scaling_codec (scaling_doc t)));
+      ("/control.json", fun () -> Http.json (control_json t));
       ("/healthz", fun () -> Http.text "ok\n");
     ]
 end

@@ -101,6 +101,20 @@ val phase_counter_names : (string * string) list
     [pin], [other], [wall], [idle]) — shared by registration, the
     [/scaling.json] body and the scaling artifact. *)
 
+type phase_totals = {
+  probe_ns : int;
+  tally_ns : int;
+  publish_ns : int;
+  pin_ns : int;
+  other_ns : int;
+  wall_ns : int;
+  idle_ns : int;
+}
+
+val phase_totals_codec : phase_totals Lc_obs.Codec.t
+(** {!phase_stats} summed over workers, in [/scaling.json] and each
+    ["lowcon-scaling"] sweep point; rejects phases not summing to wall. *)
+
 val gc_metric_names : Lc_obs.Window.gc_config
 (** Names of the per-domain GC allocation counters instrumented runs
     register ([engine_gc_minor_words_total],
@@ -233,27 +247,41 @@ module Monitor : sig
       [interval_s] and once after the join; exposed for tests and
       custom drivers. *)
 
-  val updates_schema_name : string
-  (** ["lowcon-updates"] — the [/updates.json] document's schema, so
-      [lowcon validate] recognises a saved scrape by content. *)
+  val window_codec : Lc_obs.Window.entry Lc_obs.Codec.t
+  (** Every route body is written from one {!Lc_obs.Codec} description,
+      which [lowcon validate] also decodes saved scrapes with. This one
+      is a window as a postmortem stores it; [/windows.json] leaves off
+      [updates], [gc], [top_cells] and [cum_probes]. *)
 
+  val decision_codec : Lc_control.Controller.decision Lc_obs.Codec.t
+  (** A [/control.json] decision, and a journaled [Control_decision]. *)
+
+  type updates_doc
+  type scaling_doc
+  type control_doc
+
+  val updates_schema_name : string
   val updates_schema_version : int
 
-  val scaling_schema_name : string
-  (** ["lowcon-scaling-live"] — the [/scaling.json] document's schema.
-      Distinct from the offline ["lowcon-scaling"] artifact written by
-      [lowcon scale]: this is one run's live telemetry, that is a
-      fitted domain sweep. *)
+  val updates_codec : updates_doc Lc_obs.Codec.t
+  (** [/updates.json] (["lowcon-updates"]): cumulative builder counters
+      ([null] when the run never updated) and per-window update entries. *)
 
+  val scaling_schema_name : string
   val scaling_schema_version : int
 
-  val control_schema_name : string
-  (** ["lowcon-control"] — the [/control.json] document's schema:
-      the controller's policy, live hysteresis state and full decision
-      log, reconciling field for field with the journaled
-      [Control_decision] events. *)
+  val scaling_codec : scaling_doc Lc_obs.Codec.t
+  (** [/scaling.json] (["lowcon-scaling-live"], one run's telemetry, not
+      a [lowcon scale] sweep): per-phase time attribution, GC counters
+      with per-window GC entries, and the co-heat diagnostic. *)
 
+  val control_schema_name : string
   val control_schema_version : int
+
+  val control_codec : control_doc Lc_obs.Codec.t
+  (** [/control.json] (["lowcon-control"]): policy, hysteresis state and
+      decision log, its boost chain checked on decode; or just
+      [attached: false]. *)
 
   val control_json : t -> string
   (** The [/control.json] body, also available without an HTTP server —
@@ -262,38 +290,15 @@ module Monitor : sig
 
   val routes : t -> Lc_obs.Http.route list
   (** Scrape routes over the live (seqlock-read) state, safe to serve
-      from an {!Lc_obs.Http} domain mid-run:
-
-      - [/metrics] — Prometheus text: the merged cumulative snapshot
-        (counters monotone across scrapes) plus the per-window gauges
-        ({!Lc_obs.Window.prometheus_gauges});
-      - [/snapshot.json] — the merged snapshot as JSON
-        ({!Lc_obs.Export.json_snapshot});
-      - [/cells.json] — merged top-k sketch entries with error bounds,
-        plus a log-bucketed per-cell count histogram and co-heat summary
-        summed over the static run's per-domain tallies on each scrape
-        (read racily mid-run — each cell at most a few increments stale
-        — and exact once the run has merged);
-      - [/windows.json] — the window ring and alert state;
-      - [/updates.json] — the update-path view, schema-versioned
-        (["lowcon-updates"] v1): cumulative builder counters (null when
-        the run never exercised the update path) and the per-window
-        update entries (ups, publications/s, write-amp, rebuild
-        p50/p99, epoch/retired/reader-lag gauges);
-      - [/scaling.json] — the scaling observatory's live view,
-        schema-versioned (["lowcon-scaling-live"] v1): cumulative
-        per-phase time attribution, GC allocation counters with the
-        per-window GC entries, and the cache-line co-heat diagnostic
-        (null for runs without live per-cell counters);
-      - [/control.json] — the replication controller's view,
-        schema-versioned (["lowcon-control"] v1): policy constants,
-        live hysteresis state (score, cooldown, last windowed ratio)
-        and the complete decision log ([attached: false] when no
-        controller is attached);
-      - [/healthz] — liveness.
-
-      [/cells.json] additionally carries the same co-heat object next
-      to its count histogram. *)
+      from an {!Lc_obs.Http} domain mid-run: [/metrics] (Prometheus text:
+      the merged cumulative snapshot plus
+      {!Lc_obs.Window.prometheus_gauges}), [/snapshot.json]
+      ({!Lc_obs.Export.json_snapshot}), [/cells.json] (merged top-k
+      sketch entries, plus a per-cell count histogram and co-heat summary
+      summed over the static run's per-domain tallies — a few increments
+      stale mid-run, exact once merged), [/windows.json] (the window ring
+      and alert state), [/updates.json], [/scaling.json] and
+      [/control.json] (the documents above) and [/healthz]. *)
 end
 
 (** {1 The unified entry point}

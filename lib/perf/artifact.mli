@@ -73,6 +73,11 @@ val fingerprint : seed:int -> fingerprint
 (** Capture the current environment (reads [.git/HEAD], calibrates the
     clock). *)
 
+val codec : t Lc_obs.Codec.t
+(** The one description behind {!to_json}, {!of_json} and [lowcon
+    validate]: schema name and version, field types, non-empty entries
+    and samples, [lo <= hi], positive [domains]/[trials]. *)
+
 val to_json : t -> Lc_obs.Json.t
 
 val to_string : t -> string
@@ -80,13 +85,8 @@ val to_string : t -> string
     value is NaN or infinite. *)
 
 val of_json : Lc_obs.Json.t -> (t, string) result
-(** Validates schema name and version, every field's presence and type,
-    and basic invariants (non-empty entries and samples, [lo <= hi],
-    positive [domains]/[trials]). *)
-
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result
-
 val write : path:string -> t -> unit
 (** Atomic write via {!Lc_obs.Export.write_file}. *)
 
@@ -100,6 +100,8 @@ val key : entry -> string * string * int
 
 (** {2 Pieces shared with the postmortem and scaling artifacts} *)
 
+val ci_codec : ci Lc_obs.Codec.t
+val fingerprint_codec : fingerprint Lc_obs.Codec.t
 val json_of_fingerprint : fingerprint -> Lc_obs.Json.t
 
 val fingerprint_of_json : Lc_obs.Json.t -> (fingerprint, string) result
@@ -108,5 +110,4 @@ val fingerprint_of_json : Lc_obs.Json.t -> (fingerprint, string) result
 val json_of_ci : ci -> Lc_obs.Json.t
 
 val ci_of_json : string -> Lc_obs.Json.t -> (ci, string) result
-(** [ci_of_json name j] reads and validates the [name] member of [j]
-    (non-empty samples, [lo <= hi]). *)
+(** [ci_of_json name j] reads and validates the [name] member of [j]. *)

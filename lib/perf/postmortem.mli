@@ -45,6 +45,10 @@ val capture :
     is fine — the dump is best-effort-fresh, which is what a flight
     recorder wants). *)
 
+val codec : t Lc_obs.Codec.t
+(** The one description behind {!to_json}, {!of_json} and [lowcon
+    validate]; windows and decisions use the monitor's descriptions. *)
+
 val to_json : t -> Lc_obs.Json.t
 
 val to_string : t -> string

@@ -23,7 +23,7 @@ val schema_name : string
 
 val schema_version : int
 
-type phase_totals = {
+type phase_totals = Lc_parallel.Engine.phase_totals = {
   probe_ns : int;
       (** Worker ns inside the dictionary's [mem], summed over workers
           and trials (pin time excluded for dynamic runs). *)
@@ -107,16 +107,18 @@ val run : ?progress:(string -> unit) -> seed:int -> spec -> t
     raises instead of fitting garbage. Raises [Invalid_argument] on a
     degenerate spec, [Failure] on reconciliation mismatch. *)
 
+val codec : t Lc_obs.Codec.t
+(** The one description behind {!to_json}, {!of_json} and [lowcon
+    validate]. Decoding checks schema name/version, point ordering, the
+    fit/fit_error exclusivity, and recomputes the summary from the
+    decoded points — a tampered or truncated document is rejected with a
+    path-qualified reason. *)
+
 val to_json : t -> Lc_obs.Json.t
 val to_string : t -> string
 (** Raises [Failure] on non-finite floats, like {!Artifact.to_string}. *)
 
 val of_json : Lc_obs.Json.t -> (t, string) result
-(** Validates schema name/version, point ordering, the fit/fit_error
-    exclusivity, and recomputes the summary from the decoded points —
-    a tampered or truncated document is rejected with a path-qualified
-    reason. *)
-
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result
 val write : path:string -> t -> unit
