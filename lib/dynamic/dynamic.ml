@@ -270,11 +270,15 @@ let level_views t =
   Array.to_list t.levels
   |> List.filter_map
        (Option.map (fun l ->
-            (* lv_replicas is the level's own replica array, NOT a copy:
-               its physical identity is stable for the level's whole
+            (* Both arrays are the level's own, NOT copies. A level's
+               keys are never written after build_level, so sharing them
+               is safe for read-only callers. The replica array's
+               physical identity is stable for the level's whole
                lifetime (rebuilds allocate a fresh level record), which
                is exactly what Epoch keys its snapshot cache on. *)
-            { lv_index = l.index; lv_keys = Array.copy l.keys; lv_replicas = l.replicas }))
+            { lv_index = l.index; lv_keys = l.keys; lv_replicas = l.replicas }))
+
+let tombstoned t x = Hashtbl.mem t.deleted x
 
 let tombstone_keys t =
   Hashtbl.fold (fun x () acc -> x :: acc) t.deleted [] |> List.sort compare

@@ -134,7 +134,10 @@ val clear_build_hook : t -> unit
 
 type level_view = {
   lv_index : int;  (** The level's index [i]; it holds [2^i] keys. *)
-  lv_keys : int array;  (** The stored keys (tombstones included), a copy. *)
+  lv_keys : int array;
+      (** The stored keys (tombstones included). Shared with the level,
+          not a copy: a level's keys never change after it is built, and
+          a rebuild allocates a fresh array. Treat as read-only. *)
   lv_replicas : Lc_core.Dictionary.t array;
       (** The level's replica array — {e not} a copy. Its physical
           identity is stable for the level's whole lifetime (every
@@ -149,6 +152,11 @@ val level_views : t -> level_view list
 
 val tombstone_keys : t -> int list
 (** The currently tombstoned keys, sorted ascending. *)
+
+val tombstoned : t -> int -> bool
+(** Whether the key is currently tombstoned: stored on some level but
+    deleted. O(1); {!Epoch} re-decides each key a batch touched with
+    it. *)
 
 val ops_handle : t -> Lc_dict.Ops_intf.handle
 (** The dictionary as a uniform {!Lc_dict.Ops_intf.S} structure (name

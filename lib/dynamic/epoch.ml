@@ -5,16 +5,20 @@ module Dictionary = Lc_core.Dictionary
 exception Freed_level of { epoch : int; level : int }
 
 (* One published level: the immutable replica tables of a Dynamic level,
-   plus per-replica/per-cell atomic probe tallies and the poison flag
-   reclamation sets when the level's memory is handed back. The record is
-   shared by every snapshot that contains the level; [identity] (the
-   Dynamic level's own replica array) is the token the builder's cache is
-   keyed on. *)
+   plus one plain tally row per reader and the poison flag reclamation
+   sets when the level's memory is handed back. The record is shared by
+   every snapshot that contains the level; [identity] (the Dynamic
+   level's own replica array) is the token the builder's cache is keyed
+   on. *)
 type elevel = {
   el_index : int;
   cores : (module Lc_dict.Dict_intf.S) array;
   tables : Table.t array;
-  counters : int Atomic.t array array;  (* per replica, per cell *)
+  rows : int array array;
+      (* per reader index: that reader's per-cell tallies over the level
+         (replicas concatenated, [rep_base] offsets), [||] until the
+         reader first probes the level; the reader allocates its row on
+         its own domain and is its only writer *)
   rep_base : int array;  (* replica's first cell id within the level *)
   el_space : int;
   el_max_probes : int;  (* max over replicas *)
@@ -58,6 +62,12 @@ type t = {
   mutable publications : int;
   mutable reclaimed : int;
   mutable drained_probes : int;  (* tallies of freed levels, preserved *)
+  (* The keys of the updates applied since the last publication (the
+     first [pending_updates] entries), and the purge count the current
+     snapshot's tombstones were cut at: what the next publication needs
+     to derive its tombstones from the current snapshot's. *)
+  mutable touched : int array;
+  mutable purges_seen : int;
   (* Update-path observatory (builder-owned, like the rest of this
      block): updates applied since the last publication, cumulative
      publication wall time, and reclamation lag in epochs. *)
@@ -68,6 +78,7 @@ type t = {
 }
 
 type reader = {
+  idx : int;  (* slot index: this reader's row in every level *)
   slot : int Atomic.t;
   r_rng : Rng.t;
   mutable snap : snapshot;  (* last pinned snapshot *)
@@ -77,18 +88,20 @@ type reader = {
      by the engine after joining the owning domain. *)
   mutable r_pin_ns : int;
   (* The probe closure is allocated once per reader and re-pointed at
-     the replica under probe by [mem] — the hot read path allocates
-     nothing per query or per level. *)
-  mutable cur_counters : int Atomic.t array;
+     the reader's row and the replica under probe by [mem] — the hot
+     read path allocates nothing per query, and one tally row per level
+     the reader ever probes. *)
+  mutable cur_row : int array;
+  mutable cur_off : int;  (* the replica's first cell within [cur_row] *)
   mutable cur_table : Table.t;
-  mutable cur_base : int;
+  mutable cur_base : int;  (* the replica's first snapshot-global cell id *)
   mutable observe : int -> unit;
   mutable probe : Lc_dict.Dict_intf.probe;
 }
 
 let no_observe (_ : int) = ()
 
-let make_elevel (v : Dynamic.level_view) =
+let make_elevel ~readers (v : Dynamic.level_view) =
   let cores = Array.map Dictionary.core v.lv_replicas in
   let tables =
     Array.map (fun c -> let (module D : Lc_dict.Dict_intf.S) = c in D.table) cores
@@ -96,7 +109,6 @@ let make_elevel (v : Dynamic.level_view) =
   let spaces =
     Array.map (fun c -> let (module D : Lc_dict.Dict_intf.S) = c in D.space) cores
   in
-  let counters = Array.map (fun s -> Array.init s (fun _ -> Atomic.make 0)) spaces in
   let rep_base = Array.make (Array.length cores) 0 in
   let total = ref 0 in
   Array.iteri
@@ -113,7 +125,7 @@ let make_elevel (v : Dynamic.level_view) =
     el_index = v.lv_index;
     cores;
     tables;
-    counters;
+    rows = Array.make readers [||];
     rep_base;
     el_space = !total;
     el_max_probes;
@@ -121,19 +133,93 @@ let make_elevel (v : Dynamic.level_view) =
     identity = v.lv_replicas;
   }
 
-(* Build the next snapshot from the inner dictionary's current levels,
-   reusing published elevels for levels whose identity is unchanged (so
-   their probe tallies keep accumulating across publications). Returns
-   the snapshot and the refreshed cache. Builder-only. *)
-let snapshot_of_inner t ~epoch =
+(* Binary search of a snapshot's sorted tombstones. *)
+let tombstoned (deleted : int array) x =
+  let n = Array.length deleted in
+  if n = 0 then false
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    let found = ref false in
+    while (not !found) && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let v = deleted.(mid) in
+      if v = x then found := true else if v < x then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
+  end
+
+(* The successor snapshot's sorted tombstones: the predecessor's, with
+   every key this batch touched re-decided against the inner dictionary,
+   in O(predecessor + batch log batch). Each distinct touched key leaves
+   if the predecessor held it and comes back if it is still tombstoned,
+   so the result's length is known first: the array is allocated once
+   at its exact size and filled in one pass with plain int stores
+   ([Array.blit]/[Array.sub] would [caml_modify] or [caml_initialize]
+   each word of a major-heap array). A purge since the predecessor
+   cleared every tombstone it held, so then the batch's own keys decide
+   alone. Builder-only. *)
+let next_deleted t ~(prev : int array) =
+  let purges = Dynamic.purges t.inner in
+  let prev = if purges = t.purges_seen then prev else [||] in
+  t.purges_seen <- purges;
+  let nu = t.pending_updates in
+  if nu = 0 then prev
+  else begin
+    let u = Array.sub t.touched 0 nu in
+    Array.stable_sort Int.compare u;
+    let np = Array.length prev in
+    let dead = Array.make nu 0 and nd = ref 0 and len = ref np in
+    for j = 0 to nu - 1 do
+      let x = u.(j) in
+      if j = 0 || u.(j - 1) <> x then begin
+        if tombstoned prev x then decr len;
+        if Dynamic.tombstoned t.inner x then begin
+          dead.(!nd) <- x;
+          incr nd;
+          incr len
+        end
+      end
+    done;
+    let out = Array.make !len 0 in
+    let n = ref 0 and j = ref 0 and d = ref 0 in
+    for i = 0 to np - 1 do
+      let p = prev.(i) in
+      while !d < !nd && dead.(!d) < p do
+        out.(!n) <- dead.(!d);
+        incr n;
+        incr d
+      done;
+      while !j < nu && u.(!j) < p do
+        incr j
+      done;
+      if not (!j < nu && u.(!j) = p) then begin
+        out.(!n) <- p;
+        incr n
+      end
+    done;
+    while !d < !nd do
+      out.(!n) <- dead.(!d);
+      incr n;
+      incr d
+    done;
+    out
+  end
+
+(* Build the successor of [prev] from the inner dictionary's current
+   levels, reusing published elevels for levels whose identity is
+   unchanged (so their probe tallies keep accumulating across
+   publications). Returns the snapshot and the refreshed cache.
+   Builder-only. *)
+let snapshot_of_inner t ~prev =
   let views = List.rev (Dynamic.level_views t.inner) (* largest first *) in
+  let readers = Array.length t.slots in
   let levels =
     Array.of_list
       (List.map
          (fun (v : Dynamic.level_view) ->
            match List.assq_opt v.lv_replicas t.cache with
            | Some el -> el
-           | None -> make_elevel v)
+           | None -> make_elevel ~readers v)
          views)
   in
   let bases = Array.make (Array.length levels) 0 in
@@ -144,9 +230,9 @@ let snapshot_of_inner t ~epoch =
       total := !total + l.el_space)
     levels;
   let snap_max_probes = Array.fold_left (fun acc l -> acc + l.el_max_probes) 0 levels in
-  let deleted = Array.of_list (Dynamic.tombstone_keys t.inner) in
+  let deleted = next_deleted t ~prev:prev.deleted in
   ( {
-      epoch;
+      epoch = prev.epoch + 1;
       levels;
       bases;
       deleted;
@@ -186,6 +272,8 @@ let create ?small_level_boost ?(max_readers = 64) rng ~universe () =
       publications = 0;
       reclaimed = 0;
       drained_probes = 0;
+      touched = [||];
+      purges_seen = 0;
       pending_updates = 0;
       publish_ns_total = 0;
       reclaim_lag_total = 0;
@@ -198,13 +286,25 @@ let create ?small_level_boost ?(max_readers = 64) rng ~universe () =
 (* Builder side                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Log an applied update's key for the next publication's tombstone
+   merge; the log's length is the batch counter. *)
+let log_update t x =
+  let n = t.pending_updates in
+  if n = Array.length t.touched then begin
+    let grown = Array.make (max 64 (2 * n)) 0 in
+    Array.blit t.touched 0 grown 0 n;
+    t.touched <- grown
+  end;
+  t.touched.(n) <- x;
+  t.pending_updates <- n + 1
+
 let insert t x =
   Dynamic.insert t.inner x;
-  t.pending_updates <- t.pending_updates + 1
+  log_update t x
 
 let delete t x =
   Dynamic.delete t.inner x;
-  t.pending_updates <- t.pending_updates + 1
+  log_update t x
 
 let inner t = t.inner
 
@@ -220,7 +320,7 @@ type publish_info = {
 let publish_stats t =
   let t0 = Monotonic_clock.now () in
   let old = Atomic.get t.current in
-  let snap, cache = snapshot_of_inner t ~epoch:(old.epoch + 1) in
+  let snap, cache = snapshot_of_inner t ~prev:old in
   (* Levels of the outgoing cache that the new snapshot no longer
      references retire at this publication's epoch: a reader announcing
      an epoch >= snap.epoch can only reach the new snapshot. *)
@@ -298,10 +398,7 @@ let apply_boost_request t =
 let min_announced t =
   Array.fold_left (fun acc s -> min acc (Atomic.get s)) quiescent t.slots
 
-let drain_elevel el =
-  Array.fold_left
-    (fun acc cells -> Array.fold_left (fun a c -> a + Atomic.get c) acc cells)
-    0 el.counters
+let drain_elevel el = Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 el.rows
 
 let try_reclaim t =
   match t.retired with
@@ -338,12 +435,14 @@ let reader t rng =
     invalid_arg "Epoch.reader: max_readers exhausted";
   let r =
     {
+      idx;
       slot = t.slots.(idx);
       r_rng = rng;
       snap = Atomic.get t.current;
       r_probes = 0;
       r_pin_ns = 0;
-      cur_counters = [||];
+      cur_row = [||];
+      cur_off = 0;
       cur_table = Table.create ~cells:1 ~bits:1 ();
       cur_base = 0;
       observe = no_observe;
@@ -352,7 +451,8 @@ let reader t rng =
   in
   r.probe <-
     (fun ~step:_ j ->
-      Atomic.incr r.cur_counters.(j);
+      let k = r.cur_off + j in
+      r.cur_row.(k) <- r.cur_row.(k) + 1;
       r.r_probes <- r.r_probes + 1;
       r.observe (r.cur_base + j);
       Table.peek r.cur_table j);
@@ -388,19 +488,13 @@ let unpin r = Atomic.set r.slot quiescent
 let acquire t r = ignore (pin r t : snapshot)
 let release r = unpin r
 
-let tombstoned (deleted : int array) x =
-  let n = Array.length deleted in
-  if n = 0 then false
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = deleted.(mid) in
-      if v = x then found := true else if v < x then lo := mid + 1 else hi := mid - 1
-    done;
-    !found
-  end
+(* A reader's first probe of a level allocates its tally row there, on
+   the reader's own domain: once per (reader, level), never per query.
+   From then on the reader is the row's only writer. *)
+let first_row r l =
+  let row = Array.make l.el_space 0 in
+  l.rows.(r.idx) <- row;
+  row
 
 (* The probe body shared by [mem] and [mem_phased]: answer [x] against
    the snapshot [s] the reader has pinned. Error paths (invalid key,
@@ -426,9 +520,11 @@ let probe_pinned r s x =
         raise (Freed_level { epoch = s.epoch; level = l.el_index })
       end;
       let rep = Rng.int r.r_rng (Array.length l.cores) in
-      r.cur_counters <- l.counters.(rep);
+      let row = l.rows.(r.idx) in
+      r.cur_row <- (if Array.length row > 0 then row else first_row r l);
+      r.cur_off <- l.rep_base.(rep);
       r.cur_table <- l.tables.(rep);
-      r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
+      r.cur_base <- s.bases.(!i) + r.cur_off;
       let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
       if D.mem ~probe:r.probe r.r_rng x then hit := true;
       incr i
@@ -473,11 +569,10 @@ let snapshot_counts s =
   let counts = Array.make s.snap_space 0 in
   Array.iteri
     (fun i l ->
-      Array.iteri
-        (fun rep cells ->
-          let base = s.bases.(i) + l.rep_base.(rep) in
-          Array.iteri (fun j c -> counts.(base + j) <- Atomic.get c) cells)
-        l.counters)
+      let base = s.bases.(i) in
+      Array.iter
+        (fun row -> Array.iteri (fun j c -> counts.(base + j) <- counts.(base + j) + c) row)
+        l.rows)
     s.levels;
   counts
 

@@ -12,13 +12,16 @@
       {!snapshot} of the current level tables — one [Atomic.set] of the
       [current] pointer per publication. Levels whose identity is
       unchanged since the previous snapshot are {e shared}, so their
-      per-cell probe tallies keep accumulating.
+      per-cell probe tallies keep accumulating. A publication costs what
+      the batch changed: fresh levels, plus one linear merge of the
+      previous snapshot's sorted tombstones with the keys the batch
+      touched.
     - Readers {e pin} the current snapshot before each query: announce
       its epoch in a per-reader slot ([int Atomic.t]), re-read the
       pointer, retry if it moved. Between pin and unpin a reader probes
       only immutable tables through a preallocated probe closure — no
-      locks, no allocation, nothing but [Atomic] reads/increments on the
-      query path.
+      locks, no allocation once it has a tally row on each level, and
+      nothing shared but [Atomic] reads on the query path.
     - Reclamation: a level dropped by the publication of epoch [e]
       retires at [e] and is freed only once the minimum announced epoch
       across all reader slots reaches [e] (quiescent slots announce
@@ -36,12 +39,20 @@
 
     {2 Accounting}
 
-    Every probe lands on a per-cell [Atomic.t] tally of the level it
-    touched and on the reader's own cumulative counter; freed levels
-    drain their tallies into a preserved sum, so {!total_probes} equals
-    the sum of {!reader_probes} over all readers at any quiescent point
-    — the exact-reconciliation invariant the engine's telemetry and the
-    perf suite assert. *)
+    Each level holds one plain [int array] tally row per reader index,
+    empty until that reader first probes the level; the reader then
+    allocates its row on its own domain and is its only writer. Every
+    probe increments the probed cell in the reader's row of that level
+    and the reader's own cumulative counter. {!try_reclaim} sums a
+    level's rows only once the level is past the announcement horizon,
+    so the sequentially consistent slot atomics order the plain row
+    writes before the builder's reads; freed levels drain into a
+    preserved sum. {!total_probes} therefore equals the sum of
+    {!reader_probes} over all readers at any quiescent point — the
+    exact-reconciliation invariant the engine's telemetry and the perf
+    suite assert. Read mid-run, {!total_probes} and {!snapshot_counts}
+    see racy immediates (each count old or new, never torn), like the
+    static engine's live tallies. *)
 
 type t
 (** The published dictionary: inner {!Dynamic.t} + current snapshot
@@ -70,7 +81,8 @@ val create :
 (** An empty published dictionary over [0, universe). The initial
     snapshot (epoch 0) has no levels, so every query answers [false].
     [small_level_boost] is {!Dynamic.create}'s replication knob;
-    [max_readers] (default 64) bounds {!reader} registrations. *)
+    [max_readers] (default 64) bounds {!reader} registrations; every
+    published level holds one tally-row slot per possible reader. *)
 
 (** {2 Builder side — one domain only} *)
 
@@ -118,7 +130,9 @@ val try_reclaim : t -> int
 val inner : t -> Dynamic.t
 (** The builder's underlying sequential dictionary (for its counters:
     {!Dynamic.keys_rebuilt}, {!Dynamic.purges}, {!Dynamic.size}).
-    Builder-side use only. *)
+    Builder-side use only, and read-only: updates must go through
+    {!insert} and {!delete}, which log the keys the next {!publish}
+    re-decides tombstones for. *)
 
 (** {2 Replication-boost actuation}
 
@@ -180,10 +194,12 @@ val reader : t -> Lc_prim.Rng.t -> reader
 
 val mem : t -> reader -> int -> bool
 (** [mem t r x]: pin the current snapshot, probe its levels largest
-    first (tombstones answer [false] without probing), unpin. Lock-free
-    and allocation-free; every cell visit increments the level's
-    per-cell tally and [r]'s cumulative counter, and feeds the observe
-    hook with the snapshot-global cell id. *)
+    first (tombstones answer [false] without probing), unpin. Lock-free;
+    allocation-free except for [r]'s first probe of a level, which
+    allocates [r]'s tally row there (once per reader and level). Every
+    cell visit increments that cell in [r]'s row and [r]'s cumulative
+    counter, and feeds the observe hook with the snapshot-global cell
+    id. *)
 
 val mem_phased : t -> reader -> int -> bool
 (** {!mem} with phase accounting: additionally times the pin and unpin
@@ -245,10 +261,11 @@ val live : snapshot -> int
 (** Live keys at publication time. *)
 
 val snapshot_counts : snapshot -> int array
-(** Per-cell probe tallies of the snapshot's levels, concatenated in
-    probe order (largest level first, replicas in order) — length
-    {!space}. Tallies are cumulative since each level was first
-    published. *)
+(** Per-cell probe tallies of the snapshot's levels, summed over the
+    readers' rows and concatenated in probe order (largest level first,
+    replicas in order) — length {!space}. Tallies are cumulative since
+    each level was first published. Exact once the readers have
+    stopped; mid-run it reads racy immediates. *)
 
 val publications : t -> int
 val reclaimed : t -> int

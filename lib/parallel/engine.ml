@@ -1474,8 +1474,10 @@ type outcome = {
    worker's query batch (run under the "sample-batches" stage, outside
    the timed section); [reader w wo] builds worker [w]'s step on its own
    domain, instrumented iff [wo] is present; the optional [builder] runs
-   on one extra domain next to the workers; [merge] reads the tallies
-   once every domain has joined.
+   on one extra domain next to the workers; [settle], given the
+   builder's telemetry, runs on the orchestrator once the builder and
+   every worker have joined, before the final window is cut; [merge]
+   reads the tallies after that window.
 
    Layout, for shards, timelines, seqlock publishers and journal rings
    alike: 0 = orchestrator, 1..domains = workers, domains + 1 = the
@@ -1488,7 +1490,7 @@ type outcome = {
    monitor stopped and joined before the first exception re-raises with
    its original backtrace — a raising worker never leaks a domain or
    leaves the monitor ticking. *)
-let serve ~domains ~tier ~sample ~reader ?builder ~merge () =
+let serve ~domains ~tier ~sample ~reader ?builder ?settle ~merge () =
   let obs, monitor =
     match tier with
     | Bare -> (None, None)
@@ -1618,6 +1620,7 @@ let serve ~domains ~tier ~sample ~reader ?builder ~merge () =
         phases)
       setup
   in
+  Option.iter (fun f -> f (Option.bind setup (fun (_, _, bobs) -> bobs))) settle;
   Option.iter (fun m -> ignore (Monitor.tick m : Window.entry)) monitor;
   main_span "merge" @@ fun () ->
   let tally, updates = merge ~hits:(Array.map fst results) built in
@@ -1682,6 +1685,25 @@ let run_static ~tier ~cost ~domains ~seed inst qdist ~queries_per_domain =
         None ))
     ()
 
+(* Record a reclamation pass on the builder's shard and journal ring:
+   the freed count, and the retired-backlog and reader-lag gauges it
+   leaves behind. *)
+let record_reclaim epoch bo ~epoch_no ~freed =
+  let uids = bo.b_uids and d = bo.b_dom in
+  if freed > 0 then begin
+    Metrics.incr d.shard uids.u_reclaimed_c freed;
+    bo.b_record
+      (Journal.Reclaim
+         {
+           epoch = epoch_no;
+           freed;
+           lag = Epoch.reclaim_lag_max epoch;
+           pending = Epoch.retired_pending epoch;
+         })
+  end;
+  Metrics.set_gauge d.shard uids.u_retired_g (float_of_int (Epoch.retired_pending epoch));
+  Metrics.set_gauge d.shard uids.u_lag_g (float_of_int (Epoch.reader_lag epoch))
+
 (* One publication by the builder: apply a pending controller request
    first (a re-replication through the accounted build path, so its
    Level_merge events and rebuild counters fire), publish, reclaim, then
@@ -1721,20 +1743,8 @@ let publish_and_reclaim epoch bobs gcur =
     Metrics.incr d.shard uids.u_pubs_c 1;
     Metrics.observe d.shard uids.u_publish_h pi.Epoch.pi_dur_ns;
     Metrics.observe d.shard uids.u_batch_h pi.Epoch.pi_batch;
-    if freed > 0 then begin
-      Metrics.incr d.shard uids.u_reclaimed_c freed;
-      bo.b_record
-        (Journal.Reclaim
-           {
-             epoch = pi.Epoch.pi_epoch;
-             freed;
-             lag = Epoch.reclaim_lag_max epoch;
-             pending = Epoch.retired_pending epoch;
-           })
-    end;
     Metrics.set_gauge d.shard uids.u_epoch_g (float_of_int pi.Epoch.pi_epoch);
-    Metrics.set_gauge d.shard uids.u_retired_g (float_of_int (Epoch.retired_pending epoch));
-    Metrics.set_gauge d.shard uids.u_lag_g (float_of_int (Epoch.reader_lag epoch));
+    record_reclaim epoch bo ~epoch_no:pi.Epoch.pi_epoch ~freed;
     (* Builder allocation (level rebuilds dominate it) flushes at every
        publication so the windowed GC view sees write-side churn
        mid-run. *)
@@ -1868,12 +1878,22 @@ let run_dynamic ~tier ~cost ~domains ~seed epoch ~ops ~publish_every =
         pin_ns = (fun () -> Epoch.reader_pin_ns r);
       })
     ~builder:(dynamic_builder epoch ~updates ~publish_every ~adaptive:(Option.is_some controller))
+    ~settle:(fun bobs ->
+      (* Every reader is quiescent now, so the remainder of the retired
+         list reclaims here: the builder's last publication may have
+         come while readers still held older snapshots. The orchestrator
+         has taken over the builder role (its domain has joined), so it
+         records the pass on the builder's shard, and the final window
+         sees the settled backlog. *)
+      let freed = Epoch.try_reclaim epoch in
+      Option.iter
+        (fun bo ->
+          record_reclaim epoch bo ~epoch_no:(Epoch.epoch (Epoch.current epoch)) ~freed;
+          publish_slot bo.b_dom)
+        bobs)
     ~merge:(fun ~hits built ->
       let inserts, deletes, builder_ns = Option.get built in
-      (* Every reader is quiescent now, so the remainder of the retired
-         list reclaims here (the orchestrator has taken over the builder
-         role), and the readers' sketch hooks can be detached. *)
-      ignore (Epoch.try_reclaim epoch : int);
+      (* The readers' sketch hooks can be detached. *)
       Array.iter Epoch.clear_observe readers;
       let snap = Epoch.current epoch in
       let cells_written = Dynamic.cells_written inner - cells0 in

@@ -332,8 +332,16 @@ let analyze t =
     (String.sub t.fingerprint.Artifact.git_rev 0
        (min 12 (String.length t.fingerprint.Artifact.git_rev)))
     t.fingerprint.Artifact.seed;
-  add "trigger: window %d hotspot ratio %.1fx exceeded %.1fx the flat bound\n" t.trigger.index
-    t.trigger.ratio t.trigger.factor;
+  (* A dump is also written at the end of a run whose alert may never
+     have fired; its trigger is then just the last window, below the
+     bound. The alert fires on ratio > factor, so "exceeded" is claimed
+     exactly then. *)
+  if t.trigger.ratio > t.trigger.factor then
+    add "trigger: window %d hotspot ratio %.1fx exceeded %.1fx the flat bound\n" t.trigger.index
+      t.trigger.ratio t.trigger.factor
+  else
+    add "end-of-run capture: window %d hotspot ratio %.3gx, below %.1fx the flat bound\n"
+      t.trigger.index t.trigger.ratio t.trigger.factor;
   add "alert state at dump: %s (firing run %d, fired in %d window(s) total)\n"
     (if t.alert.active then "FIRING" else "quiet")
     t.alert.firing_run t.alert.fired_total;

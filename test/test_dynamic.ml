@@ -363,6 +363,151 @@ let test_epoch_pinned_reader_lag_accounting () =
   ignore (Epoch.mem t r 0);
   checki "tallies still reconcile" (Epoch.reader_probes r) (Epoch.total_probes t)
 
+(* Publication derives each snapshot's tombstones from the previous
+   snapshot's and the keys the batch touched. Drive it through batches
+   that delete, re-insert and delete one key again, and through batches
+   that cross a purge: after every publish, a sequential sweep must
+   equal the model set, every tombstone must answer false, and the
+   tallies must reconcile with the reader. *)
+let sweep_matches t r model =
+  let ok = ref true in
+  Array.iteri (fun x live -> if Epoch.mem t r x <> live then ok := false) model;
+  List.iter
+    (fun x -> if Epoch.mem t r x then ok := false)
+    (Dynamic.tombstone_keys (Epoch.inner t));
+  !ok
+
+let apply_op t model (op, x) =
+  match op with
+  | 0 ->
+    Epoch.insert t x;
+    model.(x) <- true
+  | 1 ->
+    Epoch.delete t x;
+    model.(x) <- false
+  | _ ->
+    (* delete -> re-insert -> delete of one key inside one batch *)
+    Epoch.delete t x;
+    Epoch.insert t x;
+    Epoch.delete t x;
+    model.(x) <- false
+
+let prop_epoch_publication_oracle =
+  QCheck.Test.make ~name:"every publish matches the model set" ~count:60
+    QCheck.(
+      list_of_size (Gen.int_range 1 30)
+        (list_of_size (Gen.int_range 0 40) (pair (int_range 0 2) (int_range 0 47))))
+    (fun batches ->
+      let t = Epoch.create (Rng.create 56) ~universe:64 () in
+      let r = Epoch.reader t (Rng.create 57) in
+      let model = Array.make 48 false in
+      List.for_all
+        (fun batch ->
+          List.iter (apply_op t model) batch;
+          Epoch.publish t;
+          let ok = sweep_matches t r model in
+          let before = Epoch.total_probes t = Epoch.reader_probes r in
+          ignore (Epoch.try_reclaim t);
+          ok && before && Epoch.total_probes t = Epoch.reader_probes r)
+        batches)
+
+let test_epoch_tombstones_across_purge () =
+  let t = Epoch.create (Rng.create 58) ~universe () in
+  let r = Epoch.reader t (Rng.create 59) in
+  let model = Array.make 96 false in
+  let publish_and_check what =
+    Epoch.publish t;
+    ignore (Epoch.try_reclaim t);
+    checkb what true (sweep_matches t r model)
+  in
+  for x = 0 to 63 do
+    apply_op t model (0, x)
+  done;
+  publish_and_check "preload";
+  List.iter (fun x -> apply_op t model (1, x)) [ 3; 9; 27 ];
+  publish_and_check "tombstones merged into the previous snapshot's";
+  (* 41 deletes in one batch: the purge threshold (half the stored keys)
+     is crossed mid-batch, and the deletes after it tombstone again. *)
+  let purges0 = Dynamic.purges (Epoch.inner t) in
+  for x = 0 to 40 do
+    apply_op t model (1, x)
+  done;
+  checkb "the batch crossed a purge" true (Dynamic.purges (Epoch.inner t) > purges0);
+  publish_and_check "a batch that crossed a purge";
+  List.iter (apply_op t model) [ (2, 50); (0, 5); (0, 70); (2, 70); (0, 3) ];
+  publish_and_check "re-inserts and in-batch delete/insert/delete";
+  publish_and_check "an empty batch";
+  checki "tallies reconcile" (Epoch.reader_probes r) (Epoch.total_probes t)
+
+(* Tally rows are per reader and appear on a reader's first probe of a
+   level. A reader registered after the levels exist, and a reader that
+   never reaches some levels, must both reconcile exactly, with retired
+   levels pending and after they are reclaimed. *)
+let test_epoch_late_and_partial_readers () =
+  let t = Epoch.create (Rng.create 60) ~universe () in
+  let early = Epoch.reader t (Rng.create 61) in
+  for x = 0 to 99 do
+    Epoch.insert t x
+  done;
+  Epoch.publish t;
+  let late = Epoch.reader t (Rng.create 62) in
+  let largest = Dynamic.level_views (Epoch.inner t) |> List.rev |> List.hd in
+  (* The early reader only asks for keys of the largest level, which is
+     probed first: it never touches the smaller levels. *)
+  Array.iter (fun x -> checkb "hit" true (Epoch.mem t early x)) largest.Dynamic.lv_keys;
+  (* The late reader asks for absent keys: it probes every level. *)
+  for x = 1000 to 1049 do
+    checkb "miss" false (Epoch.mem t late x)
+  done;
+  let reconciles what =
+    checki what
+      (Epoch.reader_probes early + Epoch.reader_probes late)
+      (Epoch.total_probes t)
+  in
+  reconciles "both readers, one snapshot";
+  checki "snapshot counts sum to every probe"
+    (Epoch.total_probes t)
+    (Array.fold_left ( + ) 0 (Epoch.snapshot_counts (Epoch.current t)));
+  (* Retire the small levels while the late reader holds them pinned. *)
+  Epoch.acquire t late;
+  for x = 100 to 131 do
+    Epoch.insert t x
+  done;
+  Epoch.publish t;
+  ignore (Epoch.try_reclaim t);
+  checkb "levels retired behind the pin" true (Epoch.retired_pending t > 0);
+  reconciles "retired levels pending";
+  Epoch.release late;
+  ignore (Epoch.try_reclaim t);
+  checki "all reclaimed" 0 (Epoch.retired_pending t);
+  reconciles "after reclamation";
+  for x = 0 to 131 do
+    checkb "live after churn" true (Epoch.mem t late x)
+  done;
+  reconciles "late reader on fresh levels"
+
+(* Once a reader has a tally row on every level of a fixed snapshot, a
+   query allocates nothing. *)
+let test_epoch_mem_allocation_free () =
+  let t = Epoch.create (Rng.create 63) ~universe () in
+  for x = 0 to 299 do
+    Epoch.insert t (7 * x)
+  done;
+  Epoch.publish t;
+  let r = Epoch.reader t (Rng.create 64) in
+  (* A miss probes every level, so it gives the reader all its rows. *)
+  checkb "warm-up miss" false (Epoch.mem t r 1);
+  let calls = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if Epoch.mem t r (if i land 1 = 0 then 7 * (i mod 300) else 7 * (i mod 300) + 1) then
+      incr hits
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  checki "hits" (calls / 2) !hits;
+  checkb (Printf.sprintf "under 1 word per query (%.3f)" words) true (words < 1.0)
+
 (* The linchpin property: under a hard-driven concurrent builder and
    several readers, (a) no query ever touches a freed level (the poison
    flag never trips), (b) every answer agrees with the sequential
@@ -495,8 +640,18 @@ let () =
             test_epoch_reclamation_and_accounting;
           Alcotest.test_case "pinned reader lag accounting" `Quick
             test_epoch_pinned_reader_lag_accounting;
+          Alcotest.test_case "tombstones across a purge" `Quick
+            test_epoch_tombstones_across_purge;
+          Alcotest.test_case "late and partial readers" `Quick
+            test_epoch_late_and_partial_readers;
+          Alcotest.test_case "mem allocation-free" `Quick test_epoch_mem_allocation_free;
         ] );
       ( "oracle",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ prop_matches_set_oracle; prop_insert_only_oracle; prop_epoch_concurrent_oracle ] );
+          [
+            prop_matches_set_oracle;
+            prop_insert_only_oracle;
+            prop_epoch_publication_oracle;
+            prop_epoch_concurrent_oracle;
+          ] );
     ]

@@ -408,9 +408,24 @@ let test_postmortem_dump_on_hot_structure () =
     (* The analyzer reconstructs the story from the document alone. *)
     let report = Postmortem.analyze pm in
     checkb "analyzer names the structure" true (contains "fks-norepl" report);
+    checkb "analyzer says the trigger exceeded the bound" true (contains "exceeded" report);
     checkb "analyzer shows the raise" true (contains "ALERT RAISED" report);
     checkb "analyzer shows the serve stage" true (contains "stage serve" report);
     checkb "analyzer shows worker publications" true (contains "worker published" report)
+
+(* The committed T18 dump was written at the end of a run, with its
+   alert quiet: the analyzer must call it an end-of-run capture below
+   the bound, never claim the trigger exceeded it. *)
+let test_postmortem_end_of_run_capture () =
+  match Postmortem.load "../artifacts/t18-postmortem.json" with
+  | Error e -> Alcotest.failf "t18-postmortem.json: %s" e
+  | Ok pm ->
+    checkb "trigger ratio below its factor" true
+      (pm.Postmortem.trigger.Postmortem.ratio <= pm.Postmortem.trigger.Postmortem.factor);
+    let report = Postmortem.analyze pm in
+    checkb "no false exceeded" false (contains "exceeded" report);
+    checkb "called an end-of-run capture" true
+      (contains "end-of-run capture: window 191 hotspot ratio 0.00268x, below 8.0x" report)
 
 let test_postmortem_quiet_on_low_contention () =
   let w, captured = serve_with_recorder ~structure:"lc" ~alert_factor:8.0 ~seed:9 in
@@ -613,6 +628,7 @@ let () =
           Alcotest.test_case "quiet on low contention" `Quick
             test_postmortem_quiet_on_low_contention;
           Alcotest.test_case "schema validation" `Quick test_postmortem_validation;
+          Alcotest.test_case "end-of-run capture" `Quick test_postmortem_end_of_run_capture;
         ] );
       ( "gc-fields",
         [
