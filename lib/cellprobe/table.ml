@@ -1,13 +1,6 @@
 module Rng = Lc_prim.Rng
 
-type t = {
-  cells : int array;
-  bits : int;
-  totals : int array;
-  mutable by_step : int array array; (* by_step.(t).(j) *)
-  mutable steps_seen : int;
-  mutable total : int;
-}
+type t = { cells : int array; bits : int }
 
 let bits_for v =
   if v < 0 then invalid_arg "Table.bits_for: negative value";
@@ -17,37 +10,12 @@ let bits_for v =
 let create ?(init = 0) ~cells ~bits () =
   if bits < 1 || bits > 62 then invalid_arg "Table.create: bits outside [1, 62]";
   if cells < 0 then invalid_arg "Table.create: negative size";
-  {
-    cells = Array.make cells init;
-    bits;
-    totals = Array.make cells 0;
-    by_step = [||];
-    steps_seen = 0;
-    total = 0;
-  }
+  { cells = Array.make cells init; bits }
 
 let size t = Array.length t.cells
 let bits t = t.bits
 
 let fits t v = v = -1 || (v >= 0 && (t.bits = 62 || v lsr t.bits = 0))
-
-let ensure_step t step =
-  if step >= Array.length t.by_step then begin
-    let n = Array.length t.by_step in
-    let grown = Array.init (max (step + 1) (2 * max n 1)) (fun i ->
-      if i < n then t.by_step.(i) else Array.make (size t) 0)
-    in
-    t.by_step <- grown
-  end;
-  if step >= t.steps_seen then t.steps_seen <- step + 1
-
-let read t ~step j =
-  if step < 0 then invalid_arg "Table.read: negative step";
-  ensure_step t step;
-  t.totals.(j) <- t.totals.(j) + 1;
-  t.by_step.(step).(j) <- t.by_step.(step).(j) + 1;
-  t.total <- t.total + 1;
-  t.cells.(j)
 
 let peek t j = t.cells.(j)
 
@@ -55,20 +23,6 @@ let write t j v =
   if not (fits t v) then
     invalid_arg (Printf.sprintf "Table.write: value %d does not fit %d bits" v t.bits);
   t.cells.(j) <- v
-
-let probes t j = t.totals.(j)
-
-let probes_at t ~step j =
-  if step < Array.length t.by_step then t.by_step.(step).(j) else 0
-
-let total_probes t = t.total
-let max_step t = t.steps_seen
-
-let reset_counters t =
-  Array.fill t.totals 0 (size t) 0;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.by_step;
-  t.steps_seen <- 0;
-  t.total <- 0
 
 let copy_cells t = Array.copy t.cells
 

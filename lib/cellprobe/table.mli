@@ -1,14 +1,16 @@
-(** Instrumented cell-probe tables.
+(** Cell-probe tables.
 
     The paper's table [T_{S,q} : [s] -> {0,1}^b] of [s] cells of [b] bits
-    each. Cells hold OCaml integers constrained to [b <= 62] bits; every
-    {!read} is counted per cell and per probe step, which is exactly the
-    quantity [Y^{(t)}(x, j)] of Definition 1, so empirical contention
-    falls directly out of the counters.
+    each. Cells hold OCaml integers constrained to [b <= 62] bits. A
+    table holds cells only: it counts nothing. A query visits cells
+    through the probe function its caller supplies
+    ([Lc_dict.Dict_intf.probe]), and whoever wants the quantity
+    [Y^{(t)}(x, j)] of Definition 1 counts it in that probe, in arrays
+    of its own: {!Contention.monte_carlo}, the spec cross-check and the
+    serving engine's per-domain tallies all do.
 
-    Writes are construction-time operations and are not counted: the
-    paper measures the contention of {e queries} against a static
-    table. *)
+    Writes are construction-time operations: the paper measures the
+    contention of {e queries} against a static table. *)
 
 type t
 
@@ -28,36 +30,13 @@ val size : t -> int
 val bits : t -> int
 (** Cell width in bits, the paper's [b]. *)
 
-val read : t -> step:int -> int -> int
-(** [read t ~step j] probes cell [j] as the [step]-th probe (0-indexed)
-    of the running query, returning its contents and incrementing the
-    per-cell and per-step counters. *)
-
 val peek : t -> int -> int
-(** [peek t j] reads cell [j] {e without} counting a probe; for
-    construction, verification and debugging only. *)
+(** [peek t j] is the contents of cell [j]. Every probe function
+    reads cells with it. *)
 
 val write : t -> int -> int -> unit
-(** [write t j v] stores [v] in cell [j] (construction-time; uncounted).
+(** [write t j v] stores [v] in cell [j] (construction time only).
     Raises [Invalid_argument] if [v] does not fit in [bits t] bits. *)
-
-val probes : t -> int -> int
-(** [probes t j] is the total number of counted probes to cell [j] since
-    the last {!reset_counters}. *)
-
-val probes_at : t -> step:int -> int -> int
-(** [probes_at t ~step j] is the number of counted probes to cell [j]
-    made as probe number [step]. *)
-
-val total_probes : t -> int
-(** Total counted probes across all cells. *)
-
-val max_step : t -> int
-(** One past the largest step index seen since the last reset (0 if no
-    probes have been counted). *)
-
-val reset_counters : t -> unit
-(** Zero all probe counters (cell contents are untouched). *)
 
 val copy_cells : t -> int array
 (** Snapshot of all cell contents. *)

@@ -62,7 +62,7 @@ let mem_probe (t : Structure.t) ~(probe : Lc_dict.Dict_intf.probe) rng x =
   end
 
 let mem (t : Structure.t) rng x =
-  mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
+  mem_probe t ~probe:(fun ~step:_ j -> Table.peek t.table j) rng x
 
 let spec (t : Structure.t) x =
   let p = t.params in

@@ -26,8 +26,8 @@ val mem_probe : Structure.t -> probe:Lc_dict.Dict_intf.probe -> Lc_prim.Rng.t ->
     {!Lc_dict.Instance}. *)
 
 val mem : Structure.t -> Lc_prim.Rng.t -> int -> bool
-(** [mem t rng x] is [mem_probe] with instrumented probes (counted by
-    the table's mutable counters; sequential use only). *)
+(** [mem t rng x] is [mem_probe] with plain reads
+    ({!Lc_cellprobe.Table.peek}): nothing is counted. *)
 
 val spec : Structure.t -> int -> Lc_cellprobe.Spec.t
 (** [spec t x] is the exact probe plan for query [x]. *)

@@ -114,8 +114,6 @@ let spec t x =
     let j1 = t1_base t + Poly_hash.eval t.h1 x in
     Array.append coeff_steps [| Spec.Point j0; Spec.Point j1 |]
 
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
-
 let rehashes t = t.rehashes
 
 let core t : (module Dict_intf.S) =

@@ -6,27 +6,29 @@
     a module signature whose query procedure is {e parameterised by the
     probing function}: the algorithm decides {e which} cells to visit
     (and consumes its [Rng.t] only to pick replicas), while the caller
-    decides {e how} a visit is performed — counted against the table's
-    mutable counters, counter-free, or counted on per-cell atomics.
+    decides {e how} a visit is performed — a plain read, a read counted
+    on per-cell atomics, or a read counted into whatever arrays the
+    caller owns.
 
     This split is what makes one implementation serve three consumers:
 
-    - the sequential experiment harness (instrumented probes feeding
-      the {!Lc_cellprobe.Table} counters, as before);
-    - the spec cross-validation, which re-instruments any instance;
-    - the multicore serving engine ([lc_parallel]), which needs a
-      reentrant query path it can drive from many domains at once.
+    - sequential measurement ({!Lc_cellprobe.Contention.monte_carlo}
+      and the spec cross-check {!Instance.check_spec_against_mem}),
+      whose probes count per cell and per step;
+    - the plain and atomic {!Instance} modes the experiments use;
+    - the multicore serving engine ([lc_parallel]), which drives the
+      query path from many domains at once, each counting into its own
+      per-cell tally.
 
-    Query code must never poke the table's counters directly
-    ([Table.read] from inside a [mem] body is deprecated); all probes
-    flow through the supplied [probe]. *)
+    The table itself counts nothing ({!Lc_cellprobe.Table}): every probe
+    a query makes flows through the supplied [probe], and whoever wants
+    a count keeps it there. *)
 
 type probe = step:int -> int -> int
 (** [probe ~step j] visits cell [j] as the [step]-th probe (0-indexed)
-    of the running query and returns the cell's contents. The
-    implementations live in {!Instance}: counting into the table
-    ({!Instance.instrumented}), plain reads ({!Instance.uninstrumented}),
-    or fetch-and-add on per-cell atomics ({!Instance.atomic}). *)
+    of the running query and returns the cell's contents. {!Instance}
+    builds plain reads ({!Instance.uninstrumented}) and fetch-and-add on
+    per-cell atomics ({!Instance.atomic}). *)
 
 module type S = sig
   val name : string
@@ -34,9 +36,7 @@ module type S = sig
 
   val table : Lc_cellprobe.Table.t
   (** The shared cells. Cell {e contents} are written only at
-      construction time, so concurrent probing is safe; the table's
-      built-in probe counters are not, which is exactly why [mem] takes
-      the probing function as a parameter. *)
+      construction time, so concurrent probing is safe. *)
 
   val space : int
   (** Number of cells, the paper's [s]. *)

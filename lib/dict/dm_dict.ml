@@ -175,8 +175,6 @@ let spec t x =
   in
   Array.append coeff_steps tail
 
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
-
 let max_bucket_load t = Loads.max_load t.loads
 let top_trials t = t.top_trials
 

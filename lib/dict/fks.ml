@@ -170,8 +170,6 @@ let spec t x =
       Spec.Point (t.offsets.(i) + slot);
     |]
 
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
-
 let max_bucket_load t = Loads.max_load t.loads
 let top_trials t = t.top_trials
 

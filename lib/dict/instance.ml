@@ -2,7 +2,7 @@ module Table = Lc_cellprobe.Table
 module Spec = Lc_cellprobe.Spec
 module Contention = Lc_cellprobe.Contention
 
-type mode = Instrumented | Uninstrumented | Atomic_counters
+type mode = Uninstrumented | Atomic_counters
 
 type t = {
   name : string;
@@ -16,7 +16,6 @@ type t = {
   counters : int Atomic.t array; (* length [space] iff mode = Atomic_counters *)
 }
 
-let instrumented_probe table : Dict_intf.probe = fun ~step j -> Table.read table ~step j
 let uninstrumented_probe table : Dict_intf.probe = fun ~step:_ j -> Table.peek table j
 
 let atomic_probe table counters : Dict_intf.probe =
@@ -28,11 +27,10 @@ let make mode ((module D : Dict_intf.S) as core) =
   let counters =
     match mode with
     | Atomic_counters -> Array.init D.space (fun _ -> Atomic.make 0)
-    | Instrumented | Uninstrumented -> [||]
+    | Uninstrumented -> [||]
   in
   let probe =
     match mode with
-    | Instrumented -> instrumented_probe D.table
     | Uninstrumented -> uninstrumented_probe D.table
     | Atomic_counters -> atomic_probe D.table counters
   in
@@ -48,107 +46,56 @@ let make mode ((module D : Dict_intf.S) as core) =
     counters;
   }
 
-let of_core core = make Instrumented core
+let of_core core = make Uninstrumented core
 let mode t = t.mode
 let core t = t.core
-let instrumented t = match t.mode with Instrumented -> t | _ -> make Instrumented t.core
-let uninstrumented t = match t.mode with Uninstrumented -> t | _ -> make Uninstrumented t.core
+let uninstrumented t = match t.mode with Uninstrumented -> t | Atomic_counters -> of_core t.core
 let atomic t = make Atomic_counters t.core
 
 let atomic_counts t =
   match t.mode with
   | Atomic_counters -> Array.map Atomic.get t.counters
-  | Instrumented | Uninstrumented ->
-    invalid_arg "Instance.atomic_counts: instance is not in atomic mode"
-
-let reset_atomic_counts t =
-  match t.mode with
-  | Atomic_counters -> Array.iter (fun c -> Atomic.set c 0) t.counters
-  | Instrumented | Uninstrumented ->
-    invalid_arg "Instance.reset_atomic_counts: instance is not in atomic mode"
-
-(* The trivial Ops_intf implementation: membership through a private
-   atomic-mode rewrap (so probes are counted reentrantly), updates
-   rejected loudly — a static table cannot change. *)
-module Static_ops = struct
-  type nonrec t = t
-
-  let name t = t.name
-
-  let insert t _ =
-    invalid_arg (Printf.sprintf "%s is a static structure: insert unsupported" t.name)
-
-  let delete t _ =
-    invalid_arg (Printf.sprintf "%s is a static structure: delete unsupported" t.name)
-
-  let mem t rng x = t.mem rng x
-
-  (* A static structure's population is fixed at build time; expose the
-     table size as the closest honest answer without re-deriving the key
-     count from the core. *)
-  let size _ = 0
-
-  let probes t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counters
-end
-
-let ops_handle t =
-  let t = make Atomic_counters t.core in
-  Ops_intf.Handle ((module Static_ops), t)
+  | Uninstrumented -> invalid_arg "Instance.atomic_counts: instance is not in atomic mode"
 
 let contention_exact t qdist =
   Contention.exact ~cells:t.space ~qdist ~spec:t.spec
 
 let contention_mc t qdist ~rng ~queries =
-  let t = instrumented t in
-  Contention.monte_carlo ~table:t.table ~qdist ~mem:t.mem ~rng ~queries
+  let (module D : Dict_intf.S) = t.core in
+  Contention.monte_carlo ~table:D.table ~qdist ~mem:D.mem ~rng ~queries
 
+(* Each query's probes are recorded as (step, cell) pairs through the
+   probe closure and checked against its plan: one probe per planned
+   step, made in step order, each inside its step's support. *)
 let check_spec_against_mem t ~rng ~queries =
-  (* Re-instrument whatever mode the caller hands us: validation needs
-     the table's per-step counters, but the verdict is about the core. *)
-  let t = instrumented t in
-  let table = t.table in
+  let (module D : Dict_intf.S) = t.core in
+  let trace = ref [] in
+  let probe ~step j =
+    trace := (step, j) :: !trace;
+    Table.peek D.table j
+  in
+  let rec check_probes x plan i = function
+    | [] -> Ok ()
+    | (step, j) :: rest ->
+      if step <> i then Error (Printf.sprintf "query %d: probe %d was made as step %d" x i step)
+      else if not (Seq.exists (fun (cell, _) -> cell = j) (Spec.step_cells plan.(step))) then
+        Error (Printf.sprintf "query %d step %d probed cell %d outside spec" x step j)
+      else check_probes x plan (i + 1) rest
+  in
   let check_query x =
-    let plan = t.spec x in
-    (match Spec.validate ~cells:t.space plan with
+    let plan = D.spec x in
+    match Spec.validate ~cells:D.space plan with
     | Error e -> Error (Printf.sprintf "query %d: invalid spec: %s" x e)
-    | Ok () -> Ok ())
-    |> function
-    | Error _ as e -> e
     | Ok () ->
-      Table.reset_counters table;
-      ignore (t.mem rng x : bool);
-      let nsteps = Table.max_step table in
-      if nsteps <> Spec.probes plan then
+      trace := [];
+      ignore (D.mem ~probe rng x : bool);
+      let probes = List.rev !trace in
+      let made = List.length probes in
+      if made <> Spec.probes plan then
         Error
-          (Printf.sprintf "query %d: mem made %d probes but spec plans %d" x nsteps
+          (Printf.sprintf "query %d: mem made %d probes but spec plans %d" x made
              (Spec.probes plan))
-      else begin
-        (* Each executed step must touch exactly one cell, inside the
-           planned step's support. *)
-        let bad = ref None in
-        for step = 0 to nsteps - 1 do
-          let touched = ref [] in
-          for j = 0 to t.space - 1 do
-            let c = Table.probes_at table ~step j in
-            if c > 0 then touched := (j, c) :: !touched
-          done;
-          match !touched with
-          | [ (j, 1) ] ->
-            let in_support =
-              Seq.exists (fun (cell, _) -> cell = j) (Spec.step_cells plan.(step))
-            in
-            if not in_support && !bad = None then
-              bad := Some (Printf.sprintf "query %d step %d probed cell %d outside spec" x step j)
-          | other ->
-            if !bad = None then
-              bad :=
-                Some
-                  (Printf.sprintf "query %d step %d probed %d cells (want exactly 1)" x step
-                     (List.length other))
-        done;
-        Table.reset_counters table;
-        match !bad with None -> Ok () | Some msg -> Error msg
-      end
+      else check_probes x plan 0 probes
   in
   Array.fold_left
     (fun acc x -> match acc with Error _ -> acc | Ok () -> check_query x)

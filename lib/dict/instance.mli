@@ -7,26 +7,24 @@
     per-query probe plan. An {!t} wraps one core together with a chosen
     {e probing mode}, which decides what a probe physically does:
 
-    - {!instrumented} (the default, and what {!of_core} builds): every
-      probe goes through {!Lc_cellprobe.Table.read}, feeding the
-      per-cell/per-step counters the sequential experiments consume.
-      Not reentrant — the counters are plain mutable state.
-    - {!uninstrumented}: probes are plain reads
+    - {!uninstrumented} (what {!of_core} builds): probes are plain reads
       ({!Lc_cellprobe.Table.peek}); the query path is pure with respect
       to shared state and therefore safe to run from many domains.
     - {!atomic}: probes are plain reads plus a fetch-and-add on a
       per-cell [Atomic.t] counter owned by the instance — reentrant
-      {e and} counted, the mode the [lc_parallel] serving engine and
-      experiment T10 are built on.
+      {e and} counted.
+
+    A consumer that wants some other count — per step, per domain, per
+    query — drives the core's [mem] ({!core}) with a probe of its own
+    that counts into arrays it owns, as {!contention_mc},
+    {!check_spec_against_mem} and the serving engine do.
 
     The record fields are exposed read-only by convention: consumers
     (experiments, the lower-bound game, tests) read [mem], [spec],
     [space], [max_probes], [name]; only the builders in this library and
-    [Lc_core.Dictionary] construct values, via {!of_core}. Query code
-    must not poke the table counters directly — see {!Dict_intf}. *)
+    [Lc_core.Dictionary] construct values, via {!of_core}. *)
 
 type mode =
-  | Instrumented  (** Probes counted by the table's mutable counters. *)
   | Uninstrumented  (** Counter-free plain reads; reentrant. *)
   | Atomic_counters  (** Per-cell [Atomic.t] counters; reentrant. *)
 
@@ -51,8 +49,8 @@ type t = {
 }
 
 val of_core : (module Dict_intf.S) -> t
-(** The canonical constructor: wrap a core in {!Instrumented} mode,
-    reproducing the historical (counter-poking) behaviour exactly. *)
+(** The canonical constructor: wrap a core in {!Uninstrumented}
+    mode. *)
 
 val mode : t -> mode
 
@@ -60,11 +58,6 @@ val core : t -> (module Dict_intf.S)
 (** The underlying implementation; callers that need a bespoke probing
     discipline (e.g. the parallel engine's cost models) drive its [mem]
     with their own {!Dict_intf.probe}. *)
-
-val instrumented : t -> t
-(** [instrumented t] shares [t]'s core and table but counts probes into
-    the table's mutable counters. Returns [t] itself if already in that
-    mode. *)
 
 val uninstrumented : t -> t
 (** [uninstrumented t] shares [t]'s core and table but performs
@@ -81,32 +74,21 @@ val atomic_counts : t -> int array
 (** Snapshot of the per-cell atomic counters. Raises [Invalid_argument]
     unless the instance is in [Atomic_counters] mode. *)
 
-val reset_atomic_counts : t -> unit
-(** Zero the atomic counters (callers must ensure no query is in
-    flight). Raises [Invalid_argument] unless in [Atomic_counters]
-    mode. *)
-
-val ops_handle : t -> Ops_intf.handle
-(** The instance as a uniform {!Ops_intf.S} structure: [mem] runs
-    through a {e fresh} atomic-mode rewrap of the core (reentrant,
-    probe-counted — {!Ops_intf.probes} reads the tally), while [insert]
-    and [delete] raise [Invalid_argument] — static tables are immutable,
-    and a driver that routes updates at one has made a wiring error.
-    [size] reports 0: a static instance does not carry its key count.
-    The dynamic counterpart is [Lc_dynamic.Dynamic.ops_handle]. *)
-
 val contention_exact : t -> Lc_cellprobe.Qdist.t -> Lc_cellprobe.Contention.result
 (** Exact contention of this structure under a query distribution. *)
 
 val contention_mc :
   t -> Lc_cellprobe.Qdist.t -> rng:Lc_prim.Rng.t -> queries:int -> Lc_cellprobe.Contention.result
-(** Monte-Carlo contention by replaying instrumented queries (the
-    instance is re-instrumented internally if in another mode). *)
+(** Monte-Carlo contention by replaying queries through the core with
+    {!Lc_cellprobe.Contention.monte_carlo}'s counting probe; the
+    instance's mode plays no part. *)
 
 val check_spec_against_mem :
   t -> rng:Lc_prim.Rng.t -> queries:int array -> (unit, string) result
-(** Cross-validation used by the test suite: for each query, run [mem]
-    and confirm that every counted probe lands inside the support of the
-    corresponding [spec] step (and that probe counts match plan length).
-    Works for any mode — the core is re-instrumented internally, so an
-    {!uninstrumented} instance validates against the same plans. *)
+(** Cross-validation of the probe plans against the query algorithm:
+    for each query, run the core's [mem] through a probe that records
+    its [(step, cell)] sequence, and confirm that the plan validates,
+    that the probe count equals the plan length, that the [i]-th probe
+    is made as step [i], and that each probed cell lies in its step's
+    support. O(probes) per query. The instance's mode plays no part.
+    An [Error] names the first failing query. *)

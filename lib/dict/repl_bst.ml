@@ -87,12 +87,10 @@ let predecessor_probe t ~(probe : Dict_intf.probe) rng x =
   descend t x ~probe:pick
 
 let predecessor t rng x =
-  predecessor_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
+  predecessor_probe t ~probe:(fun ~step:_ j -> Table.peek t.table j) rng x
 
 let mem_probe t ~probe rng x =
   match predecessor_probe t ~probe rng x with Some y -> y = x | None -> false
-
-let mem t rng x = match predecessor t rng x with Some y -> y = x | None -> false
 
 let spec t x =
   let steps = ref [] in

@@ -31,9 +31,6 @@ val predecessor : t -> Lc_prim.Rng.t -> int -> int option
 (** [predecessor t rng x] is the largest stored key [<= x], or [None]
     if [x] is below every key. Exactly one probe per tree level. *)
 
-val mem : t -> Lc_prim.Rng.t -> int -> bool
-(** Membership via predecessor. *)
-
 val instance : t -> Instance.t
 (** The experiment-facing record ([mem]-based; the probe plan is the
     full descent, identical for [predecessor]). *)

@@ -34,8 +34,6 @@ let search_path t x ~probe =
 
 let mem_probe t ~(probe : Dict_intf.probe) _rng x = search_path t x ~probe:(fun ~step j -> probe ~step j)
 
-let mem t x = search_path t x ~probe:(fun ~step j -> Table.read t.table ~step j)
-
 let spec t x =
   let cells = ref [] in
   let (_ : bool) =

@@ -14,6 +14,3 @@ val build : universe:int -> keys:int array -> t
     per cell. *)
 
 val instance : t -> Instance.t
-
-val mem : t -> int -> bool
-(** Direct membership check (instrumented probes). *)

@@ -34,7 +34,6 @@ type t = {
   mutable stored : int;  (* keys across levels, tombstones included *)
   mutable keys_rebuilt : int;
   mutable purges : int;
-  mutable probe_count : int;  (* cumulative cell probes issued by [mem] *)
   (* Update-path accounting, builder-owned like everything above: every
      level build adds its exact written-cell count (the write half of
      write amplification), bumps the rebuild counter and accumulates the
@@ -62,7 +61,6 @@ let create ?(small_level_boost = 1) rng ~universe () =
     stored = 0;
     keys_rebuilt = 0;
     purges = 0;
-    probe_count = 0;
     cells_written = 0;
     rebuilds = 0;
     rebuild_ns = 0;
@@ -115,15 +113,7 @@ let mem t rng x =
         | None -> ()
         | Some l ->
           let d = l.replicas.(Rng.int rng (Array.length l.replicas)) in
-          (* Same instrumented probes Dictionary.mem would make (feeding
-             the table's per-step counters), plus the dictionary-wide
-             cumulative tally behind [probes] / [ops_handle]. *)
-          let (module D : Lc_dict.Dict_intf.S) = Dictionary.core d in
-          let probe ~step j =
-            t.probe_count <- t.probe_count + 1;
-            Lc_cellprobe.Table.read D.table ~step j
-          in
-          if D.mem ~probe rng x then hit := true
+          if Dictionary.mem d rng x then hit := true
     done;
     !hit
   end
@@ -253,7 +243,6 @@ let level_sizes t =
 
 let keys_rebuilt t = t.keys_rebuilt
 let purges t = t.purges
-let probes t = t.probe_count
 let cells_written t = t.cells_written
 let rebuilds t = t.rebuilds
 let rebuild_ns t = t.rebuild_ns
@@ -282,19 +271,6 @@ let tombstoned t x = Hashtbl.mem t.deleted x
 
 let tombstone_keys t =
   Hashtbl.fold (fun x () acc -> x :: acc) t.deleted [] |> List.sort compare
-
-module Ops = struct
-  type nonrec t = t
-
-  let name _ = "lc-dyn"
-  let insert = insert
-  let delete = delete
-  let mem = mem
-  let size t = t.live
-  let probes = probes
-end
-
-let ops_handle t = Lc_dict.Ops_intf.Handle ((module Ops), t)
 
 type contention_summary = {
   total_cells : int;

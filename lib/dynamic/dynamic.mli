@@ -55,8 +55,8 @@ val delete : t -> int -> unit
     rebuild when tombstones reach half of the stored keys. *)
 
 val mem : t -> Lc_prim.Rng.t -> int -> bool
-(** Membership by instrumented probes into the level tables, largest
-    level first. *)
+(** Membership by plain probes into the level tables, largest level
+    first. *)
 
 val size : t -> int
 (** Number of live keys. *)
@@ -91,11 +91,6 @@ val keys_rebuilt : t -> int
 
 val purges : t -> int
 (** Number of global tombstone purges. *)
-
-val probes : t -> int
-(** Cumulative cell probes issued by {!mem} since creation (across all
-    rebuilds — unlike the per-table counters, this survives levels being
-    discarded). *)
 
 val cells_written : t -> int
 (** Exact cells written by level builds since creation: every
@@ -157,11 +152,6 @@ val tombstoned : t -> int -> bool
 (** Whether the key is currently tombstoned: stored on some level but
     deleted. O(1); {!Epoch} re-decides each key a batch touched with
     it. *)
-
-val ops_handle : t -> Lc_dict.Ops_intf.handle
-(** The dictionary as a uniform {!Lc_dict.Ops_intf.S} structure (name
-    ["lc-dyn"]): real [insert]/[delete], [mem] counted by {!probes}.
-    The static counterpart is {!Lc_dict.Instance.ops_handle}. *)
 
 type contention_summary = {
   total_cells : int;

@@ -16,7 +16,8 @@
      definition's qualified name, preferring same-file candidates and
      keeping *all* candidates when ambiguous (conservative).
    Calls through record fields, functor arguments, and first-class
-   modules (Ops_intf handles) resolve to nothing: those are the
+   modules (a [Dict_intf.S] core unpacked from an [Instance.t]) resolve
+   to nothing: those are the
    documented opaque boundaries of the analysis. *)
 
 type node = {

@@ -28,7 +28,8 @@
      own parameters and tail positions): returning a closure is the
      function's contract; allocating one mid-body is the bug. The same
      spine logic classifies closure sites for the [def] summaries.
-   - First-class-module dispatch (Ops_intf handles) and closures passed
+   - First-class-module dispatch (a [Dict_intf.S] core unpacked from an
+     [Instance.t]) and closures passed
      as values are opaque edges: referencing a function *value* adds a
      conservative call edge, but a call through a record field or a
      packed module resolves to nothing. DESIGN.md §7 spells out the

@@ -109,8 +109,8 @@ val create : writers:int -> capacity:int -> t
 (** [create ~writers ~capacity]: one ring of [capacity] slots per
     writer. For a monitored serve: writer 0 is the orchestrator, [1..m]
     the workers, [m+1] the monitor domain, and — for dynamic
-    (read-write) runs given one more ring — [m+2] the builder domain's
-    update-path events. An adaptive run given yet one more ring records
+    (read-write) runs, which need one more ring — [m+2] the builder
+    domain's update-path events. An adaptive run given yet one more ring records
     the replication controller's decisions on [m+3]. *)
 
 val writers : t -> int

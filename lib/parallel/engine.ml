@@ -1206,9 +1206,9 @@ let observed_peek (wo, probes) table j =
    model: count each visit in the worker's own per-cell tally [counts]
    (a plain array with one writer, so a plain increment), optionally
    serialising visits to the same cell through a per-cell test-and-set
-   spinlock. Cell contents are only ever read ([Table.peek]); the
-   table's own mutable counters are untouched, which is what makes the
-   query path reentrant. Without [obs] this is the telemetry-free hot
+   spinlock. Cell contents are only ever read ([Table.peek]), and the
+   table holds nothing else, which is what makes the query path
+   reentrant. Without [obs] this is the telemetry-free hot
    path; with it (the worker's telemetry and its probe count) every read
    goes through [observed_peek] and contended spinlock waits are
    timed. *)
@@ -1529,14 +1529,11 @@ let serve ~domains ~tier ~sample ~reader ?builder ?settle ~merge () =
               {
                 b_dom = domain_obs (domains + 1);
                 b_uids;
-                (* Recorded only when the journal was sized for the
-                   builder ring, so journals with domains + 2 rings keep
-                   working with the builder simply silent. *)
+                (* [run] has checked that a journal has the ring. *)
                 b_record =
                   (match journal with
-                  | Some j when Journal.writers j >= domains + 3 ->
-                    Journal.record j ~writer:(domains + 2)
-                  | _ -> ignore);
+                  | Some j -> Journal.record j ~writer:(domains + 2)
+                  | None -> ignore);
               })
             uids
         in
@@ -1935,6 +1932,16 @@ let run (cfg : Config.t) workload =
     invalid_arg
       (Printf.sprintf "Engine.run: monitor was created for %d domains, run got %d"
          m.Monitor.domains domains)
+  | _ -> ());
+  (* A dynamic run journals its builder's publish, merge and reclaim
+     events on ring domains + 2. *)
+  (match (tier, workload) with
+  | Monitored { Monitor.journal = Some j; _ }, Dynamic _ when Journal.writers j < domains + 3 ->
+    invalid_arg
+      (Printf.sprintf
+         "Engine.run: a monitored dynamic run over %d domains needs a journal of domains + 3 \
+          = %d writer rings (the builder records on ring %d); this one has %d"
+         domains (domains + 3) (domains + 2) (Journal.writers j))
   | _ -> ());
   match workload with
   | Static { inst; qdist; queries_per_domain } ->

@@ -171,10 +171,9 @@ module Monitor : sig
         with at least [domains + 2] writers (ring 0 is the orchestrator,
         rings 1..[domains] the workers, ring [domains + 1] the monitor
         domain). A {!Dynamic} run additionally records builder events
-        (epoch publish, level merge, reclaim) on ring [domains + 2]
-        when the journal was sized with [domains + 3] writers — with
-        fewer, the builder is simply silent and everything else works
-        as before. An attached controller ({!attach_controller})
+        (epoch publish, level merge, reclaim) on ring [domains + 2], so
+        its journal needs [domains + 3] writers: {!run} rejects one with
+        fewer. An attached controller ({!attach_controller})
         likewise records its decisions on ring [domains + 3] when the
         journal has [domains + 4] writers, and is silent with fewer.
         Recording is lock-free and allocation-light, so a
@@ -435,7 +434,9 @@ val run : Config.t -> workload -> outcome
     re-replication when the config's monitor carries an attached
     controller. Raises [Invalid_argument] on a monitor sized for a
     different domain count, on an [obs] that is not the monitor's own
-    handle, and for {!Dynamic} with a [Spinlock] cost.
+    handle, for {!Dynamic} with a [Spinlock] cost, and for {!Dynamic}
+    under a monitor whose journal has fewer than [domains + 3] writer
+    rings (the message names the count it needs).
 
     When a worker or the builder raises mid-run, [run] still joins
     every domain it spawned (releasing an adaptive builder and stopping

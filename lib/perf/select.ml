@@ -12,33 +12,14 @@ let structure_names = [ "lc"; "fks-norepl"; "fks"; "dm"; "cuckoo"; "binary" ]
 let dynamic_name = "lc-dyn"
 
 let structure ?obs rng ~universe ~keys = function
-  | "lc" -> Lc_dict.Instance.uninstrumented
-              (Lc_core.Dictionary.instance (Lc_core.Dictionary.build ?obs rng ~universe ~keys))
-  | "fks-norepl" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Fks.instance (Lc_dict.Fks.build ~replicate:false rng ~universe ~keys))
-  | "fks" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Fks.instance (Lc_dict.Fks.build rng ~universe ~keys))
-  | "dm" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Dm_dict.instance (Lc_dict.Dm_dict.build rng ~universe ~keys))
-  | "cuckoo" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Cuckoo.instance (Lc_dict.Cuckoo.build rng ~universe ~keys))
-  | "binary" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys))
+  | "lc" -> Lc_core.Dictionary.instance (Lc_core.Dictionary.build ?obs rng ~universe ~keys)
+  | "fks-norepl" -> Lc_dict.Fks.instance (Lc_dict.Fks.build ~replicate:false rng ~universe ~keys)
+  | "fks" -> Lc_dict.Fks.instance (Lc_dict.Fks.build rng ~universe ~keys)
+  | "dm" -> Lc_dict.Dm_dict.instance (Lc_dict.Dm_dict.build rng ~universe ~keys)
+  | "cuckoo" -> Lc_dict.Cuckoo.instance (Lc_dict.Cuckoo.build rng ~universe ~keys)
+  | "binary" -> Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys)
   | s -> failwith (Printf.sprintf "unknown structure %S (want one of %s)" s
                      (String.concat ", " structure_names))
-
-let ops_handle ?small_level_boost rng ~universe ~keys name =
-  if String.equal name dynamic_name then begin
-    let d = Lc_dynamic.Dynamic.create ?small_level_boost rng ~universe () in
-    Array.iter (fun k -> Lc_dynamic.Dynamic.insert d k) keys;
-    Lc_dynamic.Dynamic.ops_handle d
-  end
-  else Lc_dict.Instance.ops_handle (structure rng ~universe ~keys name)
 
 let workload rng ~universe ~keys spec =
   let negs () = Keyset.negatives rng ~universe ~keys ~count:(8 * Array.length keys) in

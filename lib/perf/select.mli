@@ -21,24 +21,11 @@ val structure :
   keys:int array ->
   string ->
   Lc_dict.Instance.t
-(** Build the named structure over [keys], in {e uninstrumented}
-    (reentrant) mode — what the serving engine wants. [obs] wires the
-    build into the observability layer where the builder supports it
-    (currently ["lc"]'s construction spans); other structures ignore
-    it. Raises [Failure] on an unknown name. *)
-
-val ops_handle :
-  ?small_level_boost:int ->
-  Lc_prim.Rng.t ->
-  universe:int ->
-  keys:int array ->
-  string ->
-  Lc_dict.Ops_intf.handle
-(** The named structure as a uniform {!Lc_dict.Ops_intf.S} handle,
-    preloaded with [keys]: {!dynamic_name} builds a (sequential)
-    [Lc_dynamic.Dynamic] and inserts the keys; any {!structure} name
-    builds the static instance (updates raise, by design).
-    [small_level_boost] applies to the dynamic structure only. *)
+(** Build the named structure over [keys]; its instance reads cells
+    plainly, so its [mem] is reentrant. [obs] wires the build into the
+    observability layer where the builder supports it (currently
+    ["lc"]'s construction spans); other structures ignore it. Raises
+    [Failure] on an unknown name. *)
 
 val workload :
   Lc_prim.Rng.t -> universe:int -> keys:int array -> string -> Lc_cellprobe.Qdist.t

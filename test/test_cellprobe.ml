@@ -1,4 +1,4 @@
-(* Tests for the cell-probe model: instrumented tables, probe specs,
+(* Tests for the cell-probe model: tables, probe specs,
    query distributions, contention (exact vs Monte-Carlo), concurrency. *)
 
 module Rng = Lc_prim.Rng
@@ -19,8 +19,7 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 let test_table_rw () =
   let t = Table.create ~cells:10 ~bits:8 () in
   Table.write t 3 255;
-  checki "read back" 255 (Table.read t ~step:0 3);
-  checki "peek" 255 (Table.peek t 3);
+  checki "read back" 255 (Table.peek t 3);
   checki "default" 0 (Table.peek t 0)
 
 let test_table_bits_enforced () =
@@ -33,28 +32,6 @@ let test_table_sentinel_allowed () =
   let t = Table.create ~init:(-1) ~cells:4 ~bits:4 () in
   checki "sentinel" (-1) (Table.peek t 2);
   Table.write t 2 (-1)
-
-let test_table_counters () =
-  let t = Table.create ~cells:8 ~bits:8 () in
-  ignore (Table.read t ~step:0 5);
-  ignore (Table.read t ~step:0 5);
-  ignore (Table.read t ~step:1 5);
-  ignore (Table.read t ~step:2 1);
-  checki "per-cell total" 3 (Table.probes t 5);
-  checki "per-step" 2 (Table.probes_at t ~step:0 5);
-  checki "per-step 1" 1 (Table.probes_at t ~step:1 5);
-  checki "unprobed" 0 (Table.probes t 0);
-  checki "total" 4 (Table.total_probes t);
-  checki "max step" 3 (Table.max_step t);
-  Table.reset_counters t;
-  checki "reset total" 0 (Table.total_probes t);
-  checki "reset cell" 0 (Table.probes t 5);
-  checki "reset steps" 0 (Table.max_step t)
-
-let test_table_peek_uncounted () =
-  let t = Table.create ~cells:4 ~bits:8 () in
-  ignore (Table.peek t 0);
-  checki "no probes" 0 (Table.total_probes t)
 
 let test_table_corrupt_changes () =
   let t = Table.create ~cells:16 ~bits:8 () in
@@ -265,12 +242,11 @@ let test_exact_sums_to_mean_probes () =
   checkb "sum Phi = mean probes" true (Float.abs (total -. r.mean_probes) < 1e-9)
 
 let test_mc_matches_exact () =
-  (* Instrumented toy structure over a real table. *)
+  (* Toy structure over a real table: cell 0, then cell x. *)
   let table = Table.create ~cells:5 ~bits:8 () in
-  let mem rng x =
-    ignore rng;
-    ignore (Table.read table ~step:0 0);
-    ignore (Table.read table ~step:1 x);
+  let mem ~probe _rng x =
+    ignore (probe ~step:0 0 : int);
+    ignore (probe ~step:1 x : int);
     true
   in
   let d = Qdist.uniform ~name:"u" [| 1; 2; 3; 4 |] in
@@ -357,92 +333,6 @@ let test_async_validates () =
   checkb "spread >= 1 enforced" true raised
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Trace = Lc_cellprobe.Trace
-
-(* A small instrumented structure for tracing: query x reads cell 0 then
-   cell (x mod 4). *)
-let traced_table () = Table.create ~cells:5 ~bits:8 ()
-
-let traced_mem table _rng x =
-  ignore (Table.read table ~step:0 0);
-  ignore (Table.read table ~step:1 (x mod 4));
-  true
-
-let test_trace_records_events () =
-  let table = traced_table () in
-  let rng = Rng.create 1 in
-  let tr = Trace.record ~table ~mem:(traced_mem table) ~rng ~queries:[| 1; 2; 3 |] in
-  checki "6 events" 6 (Array.length (Trace.events tr));
-  checki "3 queries" 3 (Trace.query_count tr);
-  let first = Trace.probes_of_query tr 0 in
-  checki "2 probes for query 0" 2 (Array.length first);
-  checki "first cell" 0 first.(0).Trace.cell;
-  checki "second cell" 1 first.(1).Trace.cell
-
-let test_trace_contention_matches_exact () =
-  let table = traced_table () in
-  let rng = Rng.create 2 in
-  let queries = [| 1; 2; 3; 5 |] in
-  let tr = Trace.record ~table ~mem:(traced_mem table) ~rng ~queries in
-  let c = Trace.contention tr in
-  Alcotest.check (Alcotest.float 1e-9) "hot cell" 1.0 c.per_cell.(0);
-  Alcotest.check (Alcotest.float 1e-9) "cell 1 (queries 1 and 5)" 0.5 c.per_cell.(1);
-  Alcotest.check (Alcotest.float 1e-9) "mean probes" 2.0 c.mean_probes
-
-let test_trace_csv_roundtrip () =
-  let table = traced_table () in
-  let rng = Rng.create 3 in
-  let tr = Trace.record ~table ~mem:(traced_mem table) ~rng ~queries:[| 7; 9 |] in
-  let csv = Trace.to_csv tr in
-  match Trace.of_csv ~cells:5 csv with
-  | Error e -> Alcotest.fail e
-  | Ok tr2 ->
-    checki "same event count" (Array.length (Trace.events tr)) (Array.length (Trace.events tr2));
-    Alcotest.check (Alcotest.array (Alcotest.of_pp (fun fmt (e : Trace.event) ->
-        Format.fprintf fmt "(%d,%d,%d)" e.query e.step e.cell)))
-      "identical events" (Trace.events tr) (Trace.events tr2)
-
-let test_trace_csv_rejects_garbage () =
-  checkb "bad header" true (Result.is_error (Trace.of_csv ~cells:5 "a,b\n1,2"));
-  checkb "bad field count" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n1,2"));
-  checkb "non-integer" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n1,x,2"));
-  checkb "cell out of range" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n0,0,5"));
-  checkb "negative cell" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n0,0,-1"));
-  checkb "negative query" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n-1,0,2"));
-  checkb "negative step" true
-    (Result.is_error (Trace.of_csv ~cells:5 "query,step,cell\n0,-3,2"));
-  checkb "empty input" true (Result.is_error (Trace.of_csv ~cells:5 ""))
-
-(* of_csv on a printed trace, printed again, is a fixpoint — and the
-   degenerate header-only document round-trips to an empty trace. *)
-let test_trace_csv_print_parse_fixpoint () =
-  let table = traced_table () in
-  let rng = Rng.create 5 in
-  let tr = Trace.record ~table ~mem:(traced_mem table) ~rng ~queries:[| 0; 1; 2; 3 |] in
-  let csv = Trace.to_csv tr in
-  (match Trace.of_csv ~cells:5 csv with
-  | Error e -> Alcotest.fail e
-  | Ok tr2 ->
-    Alcotest.check Alcotest.string "to_csv . of_csv . to_csv is the identity" csv
-      (Trace.to_csv tr2);
-    checki "geometry preserved" (Trace.cells tr) (Trace.cells tr2);
-    checki "query count preserved" (Trace.query_count tr) (Trace.query_count tr2));
-  match Trace.of_csv ~cells:3 "query,step,cell\n" with
-  | Error e -> Alcotest.failf "header-only trace should parse: %s" e
-  | Ok empty ->
-    checki "no events" 0 (Array.length (Trace.events empty));
-    checki "no queries" 0 (Trace.query_count empty);
-    checki "cells taken from the argument" 3 (Trace.cells empty)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -468,8 +358,8 @@ let prop_mc_exact_agree =
       let spec x =
         [| Spec.Point (x mod cells); Spec.Stride { base = 0; stride = 2; count = 5 } |]
       in
-      let mem rng x =
-        Array.iteri (fun step st -> ignore (Table.read table ~step (Spec.sample_step rng st))) (spec x);
+      let mem ~probe rng x =
+        Array.iteri (fun step st -> ignore (probe ~step (Spec.sample_step rng st) : int)) (spec x);
         true
       in
       let d = Qdist.uniform ~name:"u" (Array.init nq (fun i -> i)) in
@@ -492,8 +382,6 @@ let () =
           Alcotest.test_case "read/write" `Quick test_table_rw;
           Alcotest.test_case "bits enforced" `Quick test_table_bits_enforced;
           Alcotest.test_case "sentinel allowed" `Quick test_table_sentinel_allowed;
-          Alcotest.test_case "counters" `Quick test_table_counters;
-          Alcotest.test_case "peek uncounted" `Quick test_table_peek_uncounted;
           Alcotest.test_case "corrupt changes a cell" `Quick test_table_corrupt_changes;
           Alcotest.test_case "bits_for" `Quick test_bits_for;
         ] );
@@ -539,15 +427,6 @@ let () =
           Alcotest.test_case "async staggering thins hot cell" `Quick
             test_async_staggering_thins_hot_cell;
           Alcotest.test_case "async validates" `Quick test_async_validates;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records events" `Quick test_trace_records_events;
-          Alcotest.test_case "contention from trace" `Quick test_trace_contention_matches_exact;
-          Alcotest.test_case "csv round-trip" `Quick test_trace_csv_roundtrip;
-          Alcotest.test_case "csv rejects garbage" `Quick test_trace_csv_rejects_garbage;
-          Alcotest.test_case "csv print/parse fixpoint" `Quick
-            test_trace_csv_print_parse_fixpoint;
         ] );
       qsuite "properties" [ prop_exact_total_mass; prop_mc_exact_agree ];
     ]

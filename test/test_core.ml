@@ -268,16 +268,21 @@ let test_query_negative () =
 
 let test_query_probe_budget () =
   let dict, keys = build 12 512 in
-  let s = Dictionary.structure dict in
+  let (module D : Lc_dict.Dict_intf.S) = Instance.core (Dictionary.instance dict) in
   let rng = Rng.create 1002 in
+  (* One past the largest step index the running query has probed. *)
+  let steps = ref 0 in
+  let probe ~step j =
+    steps := max !steps (step + 1);
+    Table.peek D.table j
+  in
   let drill x =
-    Table.reset_counters s.table;
-    ignore (Dictionary.mem dict rng x);
-    checkb "within budget" true (Table.max_step s.table <= Dictionary.max_probes dict)
+    steps := 0;
+    ignore (D.mem ~probe rng x);
+    checkb "within budget" true (!steps <= Dictionary.max_probes dict)
   in
   Array.iter drill (Array.sub keys 0 64);
-  Array.iter drill (Keyset.negatives rng ~universe ~keys ~count:64);
-  Table.reset_counters s.table
+  Array.iter drill (Keyset.negatives rng ~universe ~keys ~count:64)
 
 let test_query_spec_matches_mem () =
   let dict, keys = build 13 256 in

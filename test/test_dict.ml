@@ -46,18 +46,22 @@ let spec_drill name (inst : Instance.t) keys =
   | Error e -> Alcotest.failf "%s: %s" name e
 
 let probes_drill name (inst : Instance.t) keys =
+  let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
   let rng = Rng.create 555 in
-  let table = inst.table in
+  (* One past the largest step index the running query has probed. *)
+  let used = ref 0 in
+  let probe ~step j =
+    used := max !used (step + 1);
+    Lc_cellprobe.Table.peek D.table j
+  in
   Array.iter
     (fun x ->
-      Lc_cellprobe.Table.reset_counters table;
-      ignore (inst.mem rng x);
-      let used = Lc_cellprobe.Table.max_step table in
+      used := 0;
+      ignore (D.mem ~probe rng x);
       checkb
-        (Printf.sprintf "%s: %d probes within budget %d" name used inst.max_probes)
-        true (used <= inst.max_probes))
-    (Array.sub keys 0 (min 50 (Array.length keys)));
-  Lc_cellprobe.Table.reset_counters table
+        (Printf.sprintf "%s: %d probes within budget %d" name !used inst.max_probes)
+        true (!used <= inst.max_probes))
+    (Array.sub keys 0 (min 50 (Array.length keys)))
 
 (* ------------------------------------------------------------------ *)
 (* Sorted array                                                         *)
@@ -357,6 +361,54 @@ let prop_bst_predecessor =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Spec checker                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* What a fake core's [mem] does wrong, on query 6 only. *)
+type fault = Faithful | Outside_support | One_short | One_extra | Repeated_step
+
+(* A core over 8 cells whose plan for [x] is: cell 0, a uniform cell of
+   1..3, then cell [4 + x mod 4]. Its [mem] follows the plan except
+   where [fault] says, so the checker must name query 6 and no other. *)
+let fake_core fault : (module Lc_dict.Dict_intf.S) =
+  (module struct
+    let name = "fake"
+    let table = Lc_cellprobe.Table.create ~cells:8 ~bits:8 ()
+    let space = 8
+    let max_probes = 4
+
+    let spec x =
+      Lc_cellprobe.Spec.
+        [| Point 0; Stride { base = 1; stride = 1; count = 3 }; Point (4 + (x mod 4)) |]
+
+    let mem ~probe rng x =
+      let fault = if x = 6 then fault else Faithful in
+      let visit step j = ignore (probe ~step j : int) in
+      visit 0 0;
+      if fault = Repeated_step then visit 0 0 else visit 1 (1 + Rng.int rng 3);
+      (match fault with
+      | One_short -> ()
+      | Outside_support -> visit 2 0
+      | Faithful | One_extra | Repeated_step -> visit 2 (4 + (x mod 4)));
+      if fault = One_extra then visit 3 0;
+      false
+  end)
+
+let spec_check fault =
+  Instance.check_spec_against_mem (Instance.of_core (fake_core fault)) ~rng:(Rng.create 9)
+    ~queries:[| 5; 6; 7 |]
+
+let test_spec_check_faithful () =
+  match spec_check Faithful with Ok () -> () | Error e -> Alcotest.fail e
+
+let test_spec_check_rejects fault () =
+  match spec_check fault with
+  | Ok () -> Alcotest.fail "a faulty mem passed the spec check"
+  | Error e ->
+    checkb (Printf.sprintf "error %S names query 6" e) true
+      (String.starts_with ~prefix:"query 6:" e || String.starts_with ~prefix:"query 6 " e)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -444,6 +496,14 @@ let () =
           Alcotest.test_case "probe budget" `Quick test_bst_probe_budget;
           Alcotest.test_case "contention flat" `Quick test_bst_contention_flat;
           Alcotest.test_case "rejects bad input" `Quick test_bst_rejects_bad_input;
+        ] );
+      ( "spec_check",
+        [
+          Alcotest.test_case "faithful mem passes" `Quick test_spec_check_faithful;
+          Alcotest.test_case "cell outside support" `Quick (test_spec_check_rejects Outside_support);
+          Alcotest.test_case "one probe short" `Quick (test_spec_check_rejects One_short);
+          Alcotest.test_case "one probe extra" `Quick (test_spec_check_rejects One_extra);
+          Alcotest.test_case "repeated step" `Quick (test_spec_check_rejects Repeated_step);
         ] );
       qsuite "oracle properties"
         [

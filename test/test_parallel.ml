@@ -1,6 +1,6 @@
 (* Tier-1 tests for the multicore serving engine and the reentrant
    instance modes: multi-domain answers agree with sequential [mem],
-   atomic probe tallies match the sequential counters, the
+   atomic probe tallies match a sequential counting replay, the
    uninstrumented query path still validates against the probe specs,
    and the engine exhibits the Theorem 3 hot-spot separation. *)
 
@@ -30,6 +30,21 @@ let lc_fixture seed =
   let dict = Lc_core.Dictionary.build rng ~universe ~keys in
   (rng, keys, Lc_core.Dictionary.instance dict)
 
+(* The sequential reference tally: per-cell probe counts of answering
+   each [(rng, queries)] run in order through the instance's core, with
+   a probe closure that counts. *)
+let sequential_counts inst runs =
+  let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
+  let counts = Array.make D.space 0 in
+  let probe ~step:_ j =
+    counts.(j) <- counts.(j) + 1;
+    Table.peek D.table j
+  in
+  List.iter
+    (fun (rng, queries) -> Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) queries)
+    runs;
+  counts
+
 (* (a) A multi-domain query storm returns exactly the sequential
    answers: the query path is deterministic in everything but replica
    choice, so domain scheduling and rng streams must not matter. *)
@@ -47,8 +62,8 @@ let test_storm_agreement () =
         got.(i))
     queries
 
-(* (b) Per-cell atomic tallies equal the sequential instrumented
-   counters for the same query multiset. Binary search probes
+(* (b) Per-cell atomic tallies equal the sequential counting replay
+   for the same query multiset. Binary search probes
    deterministically (no replica randomness), so equality holds
    cell-by-cell no matter how the multiset is split across domains. *)
 let test_atomic_counts_match_sequential_binary_search () =
@@ -57,14 +72,7 @@ let test_atomic_counts_match_sequential_binary_search () =
   let inst = Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys) in
   let negs = Keyset.negatives rng ~universe ~keys ~count:n in
   let queries = Array.append keys negs in
-  let seq = Instance.instrumented inst in
-  Table.reset_counters seq.Instance.table;
-  let seq_rng = Rng.create 3 in
-  Array.iter (fun x -> ignore (seq.Instance.mem seq_rng x : bool)) queries;
-  let seq_counts =
-    Array.init seq.Instance.space (fun j -> Table.probes seq.Instance.table j)
-  in
-  Table.reset_counters seq.Instance.table;
+  let seq_counts = sequential_counts inst [ (Rng.create 3, queries) ] in
   let atomic = Instance.atomic inst in
   let domains = 3 in
   let spawned =
@@ -90,12 +98,9 @@ let test_atomic_total_matches_sequential_lc () =
   let rng, keys, inst = lc_fixture 4 in
   let negs = Keyset.negatives rng ~universe ~keys ~count:n in
   let queries = Array.append keys negs in
-  let seq = Instance.instrumented inst in
-  Table.reset_counters seq.Instance.table;
-  let seq_rng = Rng.create 7 in
-  Array.iter (fun x -> ignore (seq.Instance.mem seq_rng x : bool)) queries;
-  let seq_total = Table.total_probes seq.Instance.table in
-  Table.reset_counters seq.Instance.table;
+  let seq_total =
+    Array.fold_left ( + ) 0 (sequential_counts inst [ (Rng.create 7, queries) ])
+  in
   let atomic = Instance.atomic inst in
   let domains = 4 in
   let spawned =
@@ -113,15 +118,10 @@ let test_atomic_total_matches_sequential_lc () =
   checki "total atomic probes equal sequential probes" seq_total total
 
 (* (c) The uninstrumented (counter-free, reentrant) query path is the
-   same algorithm: it validates against the exact probe specs, and it
-   really does leave the table's counters untouched. *)
+   same algorithm: it validates against the exact probe specs. *)
 let test_uninstrumented_agrees_with_spec () =
   let rng, keys, inst = lc_fixture 6 in
   let u = Instance.uninstrumented inst in
-  Table.reset_counters u.Instance.table;
-  let probe_rng = Rng.create 8 in
-  Array.iter (fun x -> ignore (u.Instance.mem probe_rng x : bool)) keys;
-  checki "uninstrumented mem counts nothing" 0 (Table.total_probes u.Instance.table);
   let sample =
     Array.append
       (Array.sub keys 0 (min 40 n))
@@ -133,14 +133,12 @@ let test_uninstrumented_agrees_with_spec () =
 
 let test_mode_switching () =
   let _, _, inst = lc_fixture 10 in
-  checkb "default mode is instrumented" true (Instance.mode inst = Instance.Instrumented);
-  let u = Instance.uninstrumented inst in
-  checkb "uninstrumented mode" true (Instance.mode u = Instance.Uninstrumented);
-  checkb "uninstrumented of uninstrumented is itself" true (Instance.uninstrumented u == u);
-  checkb "round trip back to instrumented" true
-    (Instance.mode (Instance.instrumented u) = Instance.Instrumented);
+  checkb "default mode is uninstrumented" true (Instance.mode inst = Instance.Uninstrumented);
+  checkb "uninstrumented of uninstrumented is itself" true (Instance.uninstrumented inst == inst);
   let a = Instance.atomic inst in
   checkb "atomic mode" true (Instance.mode a = Instance.Atomic_counters);
+  checkb "uninstrumented of atomic" true
+    (Instance.mode (Instance.uninstrumented a) = Instance.Uninstrumented);
   checki "fresh counters are zero" 0 (Array.fold_left ( + ) 0 (Instance.atomic_counts a));
   checkb "atomic_counts rejects non-atomic instances" true
     (try
@@ -196,7 +194,7 @@ let test_spinlock_same_tallies () =
   checki "same total probes under spinlock" free.Engine.total_probes locked.Engine.total_probes
 
 (* Per-domain tallies are exact: a 2-domain static run's per-cell counts
-   equal the sum of each worker's sequential instrumented replay — the
+   equal the sum of each worker's sequential counting replay — the
    same batch (sampled from [seed + 7919 (w + 1)]) answered with the
    same replica stream ([seed lxor 104729 (w + 1)]) — under both cost
    models. Any lost or doubled increment shows up cell by cell. *)
@@ -205,16 +203,13 @@ let test_tallies_equal_sequential_replay () =
   let negs = Keyset.negatives rng ~universe ~keys ~count:n in
   let qd = Qdist.pos_neg ~pos:keys ~neg:negs ~p_pos:0.5 in
   let domains = 2 and queries_per_domain = 500 and seed = 17 in
-  let seq = Instance.instrumented inst in
-  Table.reset_counters seq.Instance.table;
-  for w = 0 to domains - 1 do
-    let batch_rng = Rng.create (seed + (7919 * (w + 1))) in
-    let batch = Array.init queries_per_domain (fun _ -> Qdist.sample qd batch_rng) in
-    let replica_rng = Rng.create (seed lxor (104729 * (w + 1))) in
-    Array.iter (fun x -> ignore (seq.Instance.mem replica_rng x : bool)) batch
-  done;
-  let expected = Array.init seq.Instance.space (Table.probes seq.Instance.table) in
-  Table.reset_counters seq.Instance.table;
+  let expected =
+    sequential_counts inst
+      (List.init domains (fun w ->
+           let batch_rng = Rng.create (seed + (7919 * (w + 1))) in
+           let batch = Array.init queries_per_domain (fun _ -> Qdist.sample qd batch_rng) in
+           (Rng.create (seed lxor (104729 * (w + 1))), batch)))
+  in
   List.iter
     (fun (label, cost) ->
       let r = serve ~cost ~domains ~queries_per_domain ~seed inst qd in
@@ -495,6 +490,51 @@ let test_dynamic_reader_raise_contained () =
   windows_frozen_after_raise ~what:"dynamic" mon (fun () ->
       Engine.run cfg (Engine.Dynamic { epoch; ops; publish_every = 4 }))
 
+(* A monitored dynamic run journals its builder on ring domains + 2.
+   Given a journal without that ring, [run] refuses before serving,
+   naming the ring count it needs; given the ring, the builder's publish
+   and merge events land on it. *)
+let test_dynamic_run_needs_builder_ring () =
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let rng = Rng.create 37 in
+  let keys = Keyset.random rng ~universe ~n in
+  let domains = 1 in
+  let run ~writers =
+    let epoch = Epoch.create rng ~universe () in
+    Array.iter (Epoch.insert epoch) keys;
+    Epoch.publish epoch;
+    let snap = Epoch.current epoch in
+    let journal = Lc_obs.Journal.create ~writers ~capacity:256 in
+    let mon =
+      Engine.Monitor.create_for ~interval_s:0.02 ~journal ~domains ~space:(Epoch.space snap)
+        ~max_probes:(Epoch.max_probes snap) ()
+    in
+    let ops = Array.append (Array.map (fun k -> Opstream.Query k) keys) [| Opstream.Insert 1 |] in
+    ignore
+      (Engine.run (Engine.Config.make ~monitor:mon ~domains ~seed:38 ())
+         (Engine.Dynamic { epoch; ops; publish_every = 1 })
+        : Engine.outcome);
+    journal
+  in
+  let contains hay needle =
+    let k = String.length needle in
+    let rec go i = i + k <= String.length hay && (String.sub hay i k = needle || go (i + 1)) in
+    go 0
+  in
+  (match run ~writers:(domains + 2) with
+  | _ -> Alcotest.fail "a journal without the builder ring was accepted"
+  | exception Invalid_argument msg ->
+    checkb (Printf.sprintf "message %S names domains + 3 = 4" msg) true
+      (contains msg "domains + 3 = 4"));
+  let journal = run ~writers:(domains + 3) in
+  checkb "builder events on ring domains + 2" true
+    (List.exists
+       (fun (e : Lc_obs.Journal.event) ->
+         e.writer = domains + 2
+         && match e.kind with Lc_obs.Journal.Epoch_publish _ -> true | _ -> false)
+       (Lc_obs.Journal.events journal))
+
 (* A monitor carries its own obs handle: passing a different one next to
    it would be silently dropped, so Config rejects the combination, and
    accepts the monitor's own handle. *)
@@ -628,6 +668,8 @@ let () =
             test_dynamic_reader_raise_contained;
           Alcotest.test_case "config rejects a foreign obs" `Quick
             test_config_rejects_foreign_obs;
+          Alcotest.test_case "dynamic run needs builder ring" `Quick
+            test_dynamic_run_needs_builder_ring;
         ] );
       ( "tiers",
         [
